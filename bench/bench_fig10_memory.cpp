@@ -5,7 +5,7 @@
 // is the peak live bytes the algorithm requested; a second table
 // reports the kernel's peak RSS over the same run (rearmed per series
 // via /proc/self/clear_refs) so allocator slack is visible too.
-// Expected shape: LCRQ's closed-ring churn and FAA/YMC's segments now
+// Expected shape: LCRQ's closed-ring churn and FAA's segments now
 // retire through the shared SMR layer, so their peaks track the
 // *in-flight* rings/segments (bounded by the amnesty threshold) rather
 // than growing with total ops the way the old leak-until-destructor
@@ -84,16 +84,12 @@ int main(int argc, char** argv) {
                                      ops, runs);
   memory_series<harness::WcqAdapter>(mem_table, rss_table, tput_table, sweep,
                                      ops, runs);
-  memory_series<harness::YmcAdapter>(mem_table, rss_table, tput_table, sweep,
-                                     ops, runs);
   memory_series<harness::NcqAdapter>(mem_table, rss_table, tput_table, sweep,
                                      ops, runs);
   memory_series<harness::CcqAdapter>(mem_table, rss_table, tput_table, sweep,
                                      ops, runs);
   memory_series<harness::ScqAdapter>(mem_table, rss_table, tput_table, sweep,
                                      ops, runs);
-  memory_series<harness::CrTurnAdapter>(mem_table, rss_table, tput_table,
-                                        sweep, ops, runs);
   memory_series<harness::MsqAdapter>(mem_table, rss_table, tput_table, sweep,
                                      ops, runs);
   memory_series<harness::LcrqAdapter>(mem_table, rss_table, tput_table, sweep,

@@ -21,17 +21,11 @@ void run_fig12_queues(harness::SeriesTable& table, MakeWorkload make,
   run_series<harness::WcqPortableAdapter>(
       table, make.template operator()<harness::WcqPortableAdapter>(), threads,
       total_ops, runs);
-  run_series<harness::YmcAdapter>(
-      table, make.template operator()<harness::YmcAdapter>(), threads,
-      total_ops, runs);
   run_series<harness::CcqAdapter>(
       table, make.template operator()<harness::CcqAdapter>(), threads,
       total_ops, runs);
   run_series<harness::ScqAdapter>(
       table, make.template operator()<harness::ScqAdapter>(), threads,
-      total_ops, runs);
-  run_series<harness::CrTurnAdapter>(
-      table, make.template operator()<harness::CrTurnAdapter>(), threads,
       total_ops, runs);
   run_series<harness::MsqAdapter>(
       table, make.template operator()<harness::MsqAdapter>(), threads,

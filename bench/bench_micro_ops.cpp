@@ -66,12 +66,9 @@ WCQ_MICRO(WcqAdapter);
 WCQ_MICRO(WcqPortableAdapter);
 WCQ_MICRO(ScqAdapter);
 WCQ_MICRO(LcrqAdapter);
-WCQ_MICRO(YmcAdapter);
 WCQ_MICRO(MsqAdapter);
 WCQ_MICRO(CcqAdapter);
-WCQ_MICRO(CrTurnAdapter);
 WCQ_MICRO(FaaAdapter);
 WCQ_MICRO(LscqAdapter);
-WCQ_MICRO(UwcqAdapter);
 
 BENCHMARK_MAIN();

@@ -128,10 +128,6 @@ const char* policy_tag(shard_policy p) {
       return "rr";
     case shard_policy::sticky:
       return "sticky";
-    case shard_policy::load_aware:
-      return "load";
-    case shard_policy::sequenced:
-      return "seq";
   }
   return "?";
 }
@@ -215,9 +211,7 @@ int main(int argc, char** argv) {
 
   // Sharded wCQ: shard count x picker sweep, single-op pairwise.
   for (const unsigned s : shards) {
-    for (const auto pol :
-         {shard_policy::round_robin, shard_policy::sticky,
-          shard_policy::load_aware}) {
+    for (const auto pol : {shard_policy::round_robin, shard_policy::sticky}) {
       const std::string name = "wCQ shard=" + std::to_string(s) + "/" +
                                policy_tag(pol);
       named_series_latency<ShardedWcq>(

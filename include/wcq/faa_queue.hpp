@@ -31,32 +31,23 @@ namespace wcq {
 
 class FaaQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned seg_order = 10;  // 1024 slots per segment
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<FaaQueue>;
 
   static constexpr std::uint64_t kEmptyCell = ~std::uint64_t{0};
   static constexpr std::uint64_t kTakenCell = ~std::uint64_t{0} - 1;
 
-  explicit FaaQueue(const Config& cfg)
-      : seg_order_(cfg.seg_order),
-        seg_slots_(std::uint64_t{1} << cfg.seg_order),
-        slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+  // 2^seg_order slots per segment; retire_threshold 0 = auto (see
+  // wcq/smr.hpp).
+  explicit FaaQueue(const options& opt)
+      : seg_order_(opt.seg_order()),
+        seg_slots_(std::uint64_t{1} << opt.seg_order()),
+        slots_(opt.max_threads() ? opt.max_threads() : 1),
+        smr_(slots_.capacity(), opt.retire_threshold()) {
     Segment* first = new_segment(0);
     first_.store(first, std::memory_order_relaxed);
     head_seg_.store(first, std::memory_order_relaxed);
     tail_seg_.store(first, std::memory_order_relaxed);
   }
-
-  explicit FaaQueue(const options& opt)
-      : FaaQueue(Config{opt.seg_order(), opt.max_threads(),
-                        opt.retire_threshold()}) {}
 
   ~FaaQueue() {
     assert(slots_.live() == 0 &&

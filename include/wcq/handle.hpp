@@ -31,13 +31,13 @@ namespace wcq {
 struct TrivialHandle {};
 
 /// RAII handle over any SlotRegistry-backed backend: carries the
-/// owning queue plus the slot index its per-thread state (hazard
-/// pointers, epoch word, retire list — see wcq/smr.hpp) lives at.
-/// Destruction calls Q::release_slot(slot), which quiesces the slot's
-/// SMR state and returns it to the registry, so — exactly like wCQ's
-/// ThreadRec handles — max_threads bounds *concurrent* participants.
-/// A handle must not outlive its queue. MSQ, FAA, and LCRQ all use
-/// this one template instead of hand-rolling three identical handles.
+/// owning queue plus the slot index its per-thread state (wCQ's
+/// ThreadRec and request record; hazard pointers, epoch word, retire
+/// list — see wcq/smr.hpp) lives at. Destruction calls
+/// Q::release_slot(slot), which quiesces the slot's state and returns
+/// it to the registry, so max_threads bounds *concurrent*
+/// participants. A handle must not outlive its queue. wCQ, LSCQ, MSQ,
+/// FAA and LCRQ all use this one template.
 template <typename Q>
 class RegistryHandle {
  public:

@@ -33,30 +33,21 @@ namespace wcq {
 
 class LcrqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // 2^order cells per ring (paper §6 default)
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<LcrqQueue>;
 
   static constexpr std::uint64_t kEmptyVal = ~std::uint64_t{0};
 
-  explicit LcrqQueue(const Config& cfg)
-      : order_(check_order(cfg.order)),
+  // 2^order cells per ring (paper §6 default 16); retire_threshold
+  // 0 = auto (see wcq/smr.hpp).
+  explicit LcrqQueue(const options& opt)
+      : order_(check_order(opt.order())),
         ring_size_(std::uint64_t{1} << order_),
-        slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+        slots_(opt.max_threads() ? opt.max_threads() : 1),
+        smr_(slots_.capacity(), opt.retire_threshold()) {
     Crq* c = new_crq();
     head_.store(c, std::memory_order_relaxed);
     tail_.store(c, std::memory_order_relaxed);
   }
-
-  explicit LcrqQueue(const options& opt)
-      : LcrqQueue(
-            Config{opt.order(), opt.max_threads(), opt.retire_threshold()}) {}
 
   ~LcrqQueue() {
     assert(slots_.live() == 0 &&

@@ -47,32 +47,20 @@ namespace wcq {
 
 class LscqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // 2^order values per segment
-    bool remap = true;
-    bool portable = false;
-    unsigned max_threads = 128;
-    unsigned retire_threshold = 0;  // 0 = auto (see wcq/smr.hpp)
-  };
-
   using Handle = RegistryHandle<LscqQueue>;
 
-  explicit LscqQueue(const Config& cfg)
-      : order_(check_order(cfg.order)),
+  // 2^order values per segment; retire_threshold 0 = auto (see
+  // wcq/smr.hpp).
+  explicit LscqQueue(const options& opt)
+      : order_(check_order(opt.order())),
         n_(std::uint64_t{1} << order_),
-        remap_(cfg.remap),
-        portable_(cfg.portable),
-        slots_(cfg.max_threads ? cfg.max_threads : 1),
-        smr_(slots_.capacity(), cfg.retire_threshold) {
+        remap_(opt.remap()),
+        slots_(opt.max_threads() ? opt.max_threads() : 1),
+        smr_(slots_.capacity(), opt.retire_threshold()) {
     Segment* s = new_segment();
     head_.store(s, std::memory_order_relaxed);
     tail_.store(s, std::memory_order_relaxed);
   }
-
-  explicit LscqQueue(const options& opt)
-      : LscqQueue(Config{opt.order(), opt.remap(), opt.portable(),
-                         opt.max_threads(), opt.retire_threshold()}) {}
 
   ~LscqQueue() {
     assert(slots_.live() == 0 &&
@@ -180,8 +168,9 @@ class LscqQueue {
   // One list node: a bounded two-ring SCQ whose value ring (fq) is
   // finalizable. The data array lives in trailing storage.
   struct Segment {
-    Segment(unsigned order, bool remap, bool portable)
-        : aq(order, remap, portable), fq(order, remap, portable) {}
+    Segment(unsigned order, bool remap)
+        : aq(order, remap, /*portable_consume=*/false),
+          fq(order, remap, /*portable_consume=*/false) {}
 
     alignas(detail::kNoFalseSharing) std::atomic<Segment*> next{nullptr};
     ScqRing aq;       // free slots (starts full)
@@ -231,7 +220,7 @@ class LscqQueue {
 
   Segment* new_segment() {
     void* raw = mem::alloc(seg_bytes());
-    Segment* s = new (raw) Segment(order_, remap_, portable_);
+    Segment* s = new (raw) Segment(order_, remap_);
     std::atomic<std::uint64_t>* data = s->data();
     for (std::uint64_t i = 0; i < n_; ++i) {
       new (&data[i]) std::atomic<std::uint64_t>(0);
@@ -252,7 +241,6 @@ class LscqQueue {
   const unsigned order_;
   const std::uint64_t n_;
   const bool remap_;
-  const bool portable_;
 
   alignas(detail::kNoFalseSharing) std::atomic<Segment*> head_{nullptr};
   alignas(detail::kNoFalseSharing) std::atomic<Segment*> tail_{nullptr};

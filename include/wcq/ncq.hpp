@@ -149,18 +149,13 @@ class NcqRing {
 // construction as ScqQueue, over naive rings.
 class NcqQueue {
  public:
-  // Backend-internal configuration; the public surface is wcq::options.
-  struct Config {
-    unsigned order = 16;  // capacity = 2^order values
-    bool remap = true;
-  };
-
   using Handle = TrivialHandle;
 
-  explicit NcqQueue(const Config& cfg)
-      : n_(std::uint64_t{1} << cfg.order),
-        aq_(cfg.order, cfg.remap),
-        fq_(cfg.order, cfg.remap) {
+  // capacity = 2^order values.
+  explicit NcqQueue(const options& opt)
+      : n_(std::uint64_t{1} << opt.order()),
+        aq_(opt.order(), opt.remap()),
+        fq_(opt.order(), opt.remap()) {
     data_ = static_cast<std::atomic<std::uint64_t>*>(
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
@@ -168,9 +163,6 @@ class NcqQueue {
       aq_.enqueue_idx(i, NcqRing::kUnbounded);
     }
   }
-
-  explicit NcqQueue(const options& opt)
-      : NcqQueue(Config{opt.order(), opt.remap()}) {}
 
   ~NcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
 

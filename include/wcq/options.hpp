@@ -18,15 +18,12 @@
 namespace wcq {
 
 /// How `wcq::sharded<T>` picks the shard an operation lands on.
-/// Ordering contract per picker is documented on wcq/sharded.hpp; all
-/// of them preserve per-shard FIFO, only `sequenced` restores a global
-/// order (by serializing the picker — test builds, not production).
+/// Ordering contract per picker is documented on wcq/sharded.hpp; both
+/// preserve per-shard FIFO. For a global order use `shards(1)`.
 enum class shard_policy : unsigned char {
   round_robin,  ///< per-handle cursor, one step per op (default)
   sticky,       ///< producer/consumer shard affinity, rebalance on
                 ///< full (push) or empty (pop)
-  load_aware,   ///< two-choice by approximate shard occupancy
-  sequenced,    ///< global ticket order under a picker lock (tests)
 };
 
 /// Fluent configuration builder shared by every queue backend.
@@ -93,16 +90,6 @@ class options {
   }
   constexpr bool remap() const { return remap_; }
 
-  /// LL/SC-shaped ring operations (the §4 portable build) for
-  /// backends that support both forms in one type (SCQ). wCQ's
-  /// portable build is a distinct type (WcqPortableQueue) and ignores
-  /// this.
-  constexpr options& portable(bool v) {
-    portable_ = v;
-    return *this;
-  }
-  constexpr bool portable() const { return portable_; }
-
   /// Segment capacity = 2^seg_order slots (unbounded FAA backend).
   constexpr options& seg_order(unsigned v) {
     seg_order_ = v;
@@ -157,7 +144,6 @@ class options {
   unsigned dequeue_patience_ = 64;
   unsigned help_delay_ = 16;
   bool remap_ = true;
-  bool portable_ = false;
   unsigned seg_order_ = 10;
   unsigned retire_threshold_ = 0;
   unsigned shards_ = 0;  // 0 = auto

@@ -15,11 +15,7 @@
 /// Precisely: values a single handle pushes into the same shard are
 /// dequeued from that shard in push order, but two values a producer
 /// spreads over different shards may be observed by a consumer in
-/// either order. Workloads needing a global order have two options:
-/// one shard (`options::shards(1)` — the plain queue), or
-/// `shard_policy::sequenced`, which serializes shard selection behind
-/// a ticket lock to restore exact global FIFO — a test/debug mode,
-/// deliberately not wait-free and not fast.
+/// either order. Global FIFO: use `shards(1)` (the plain queue).
 ///
 /// ## Pickers (`options::shard_policy`)
 ///
@@ -33,11 +29,6 @@
 ///    direction and stays there — the zero-interference layout when
 ///    threads <= shards — rebalancing only when the home refuses:
 ///    push moves home on full, pop moves home on empty.
-///  - `load_aware`: two-choice sampling over the layer's per-shard
-///    occupancy estimates (push-successes minus pop-successes,
-///    relaxed): push targets the emptier of two sampled shards, pop
-///    the fuller. Falls back to a scan when the chosen shard refuses.
-///  - `sequenced`: see above.
 ///
 /// ## Batch API
 ///
@@ -69,7 +60,6 @@
 #include <utility>
 
 #include "wcq/concepts.hpp"
-#include "wcq/detail.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/queue.hpp"
@@ -120,9 +110,6 @@ class sharded {
       mem::free(shards_, nshards_ * sizeof(Backend));
       throw;
     }
-    loads_ = static_cast<ShardLoad*>(
-        mem::alloc(nshards_ * sizeof(ShardLoad), alignof(ShardLoad)));
-    for (unsigned s = 0; s < nshards_; ++s) new (&loads_[s]) ShardLoad();
   }
 
   ~sharded() {
@@ -137,8 +124,6 @@ class sharded {
         }
       }
     }
-    for (unsigned s = 0; s < nshards_; ++s) loads_[s].~ShardLoad();
-    mem::free(loads_, nshards_ * sizeof(ShardLoad), alignof(ShardLoad));
     for (unsigned s = 0; s < nshards_; ++s) shards_[s].~Backend();
     mem::free(shards_, nshards_ * sizeof(Backend));
   }
@@ -157,10 +142,8 @@ class sharded {
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
           scratch_(o.scratch_),
-          id_(o.id_),
           push_cur_(o.push_cur_),
-          pop_cur_(o.pop_cur_),
-          rng_(o.rng_) {}
+          pop_cur_(o.pop_cur_) {}
 
     handle& operator=(handle&& o) noexcept {
       if (this != &o) {
@@ -168,10 +151,8 @@ class sharded {
         q_ = std::exchange(o.q_, nullptr);
         subs_ = o.subs_;
         scratch_ = o.scratch_;
-        id_ = o.id_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
-        rng_ = o.rng_;
       }
       return *this;
     }
@@ -187,13 +168,7 @@ class sharded {
 
     handle(sharded* q, BackendHandle* subs, std::uint64_t* scratch,
            unsigned id)
-        : q_(q),
-          subs_(subs),
-          scratch_(scratch),
-          id_(id),
-          push_cur_(id),
-          pop_cur_(id),
-          rng_(std::uint64_t{id} * 0x9e3779b97f4a7c15ull + 1) {}
+        : q_(q), subs_(subs), scratch_(scratch), push_cur_(id), pop_cur_(id) {}
 
     void release() {
       if (q_ != nullptr) {
@@ -207,12 +182,10 @@ class sharded {
     sharded* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
     std::uint64_t* scratch_ = nullptr;  // batch_limit slots
-    unsigned id_ = 0;
     // round_robin cursor / sticky home, one per direction. Masked at
     // use; push and pop start aligned for single-handle FIFO.
     unsigned push_cur_ = 0;
     unsigned pop_cur_ = 0;
-    std::uint64_t rng_ = 0;  // splitmix64 state (load_aware sampling)
   };
 
   /// nullopt iff some shard has all max_threads handle slots live.
@@ -306,13 +279,6 @@ class sharded {
   /// Direct access to one shard (tests and benches; not a stable API).
   Backend& shard(unsigned s) { return shards_[s]; }
 
-  /// Approximate occupancy of shard s: push successes minus pop
-  /// successes, relaxed counters — the load_aware picker's signal.
-  /// Transiently off by in-flight ops; exact once the queue is quiet.
-  std::int64_t shard_load(unsigned s) const {
-    return loads_[s].size.load(std::memory_order_relaxed);
-  }
-
   /// Total capacity (bounded backends): the sum over shards, which by
   /// construction is 2^order.
   auto capacity() const
@@ -362,31 +328,6 @@ class sharded {
   }
 
  private:
-  struct alignas(detail::kNoFalseSharing) ShardLoad {
-    std::atomic<std::int64_t> size{0};
-  };
-
-  // Serializes one direction of the sequenced picker.
-  class PickerLock {
-   public:
-    explicit PickerLock(std::atomic<bool>& l) : l_(l) {
-      while (l_.exchange(true, std::memory_order_acquire)) {
-        detail::cpu_pause();
-      }
-    }
-    ~PickerLock() { l_.store(false, std::memory_order_release); }
-    PickerLock(const PickerLock&) = delete;
-    PickerLock& operator=(const PickerLock&) = delete;
-
-   private:
-    std::atomic<bool>& l_;
-  };
-
-  struct alignas(detail::kNoFalseSharing) SeqSide {
-    std::atomic<bool> lock{false};
-    std::uint64_t tick = 0;  // guarded by lock
-  };
-
   // 0 = auto: a power of two derived from the machine — one shard per
   // ~4 cpus, capped at 8 (the topology-aware sweep in the benches
   // picks its own counts; this default just has to be sane anywhere).
@@ -414,163 +355,40 @@ class sharded {
 
   static constexpr unsigned kMaxShards = 256;
 
-  unsigned sample(handle& h) const {
-    h.rng_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = h.rng_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<unsigned>((z ^ (z >> 31))) & mask_;
-  }
-
-  bool push_at(unsigned s, std::uint64_t slot, handle& h) {
-    if (!shards_[s].try_push(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool pop_at(unsigned s, std::uint64_t* slot, handle& h) {
-    if (!shards_[s].try_pop(slot, h.subs_[s])) return false;
-    loads_[s].size.fetch_sub(1, std::memory_order_relaxed);
-    return true;
+  // One scan from the direction's cursor over every shard, stopping
+  // at the first that accepts: round_robin then steps past it, sticky
+  // adopts it as home (rebalance on full/empty). A fully-failed scan
+  // leaves the cursor alone, so a lone handle's push and pop cursors
+  // stay aligned across full/empty episodes.
+  template <typename Op>
+  bool scan(unsigned& cur, Op op) {
+    const unsigned c = cur;
+    for (unsigned k = 0; k < nshards_; ++k) {
+      if (op((c + k) & mask_)) {
+        cur = c + k + (policy_ == shard_policy::round_robin ? 1 : 0);
+        return true;
+      }
+    }
+    return false;
   }
 
   bool push_slot(std::uint64_t slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        // Strict ticket order: the op is bound to its shard; a full
-        // shard refuses rather than break the sequence. The ticket is
-        // only consumed on success, so push k and pop k always meet
-        // at the same shard.
-        PickerLock g(seq_push_.lock);
-        const unsigned s = static_cast<unsigned>(seq_push_.tick) & mask_;
-        if (!push_at(s, slot, h)) return false;
-        ++seq_push_.tick;
-        return true;
-      }
-      case shard_policy::sticky: {
-        const unsigned home = h.push_cur_ & mask_;
-        if (push_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (push_at(s, slot, h)) {
-            h.push_cur_ = s;  // rebalance-on-full: adopt the new home
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) <=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (push_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (push_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.push_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (push_at((c + k) & mask_, slot, h)) {
-            // Advance past the accepting shard; a fully-failed scan
-            // leaves the cursor (and the push/pop alignment) alone.
-            h.push_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
-    }
+    return scan(h.push_cur_, [&](unsigned s) {
+      return shards_[s].try_push(slot, h.subs_[s]);
+    });
   }
 
   bool pop_slot(std::uint64_t* slot, handle& h) {
-    switch (policy_) {
-      case shard_policy::sequenced: {
-        PickerLock g(seq_pop_.lock);
-        const unsigned s = static_cast<unsigned>(seq_pop_.tick) & mask_;
-        if (!pop_at(s, slot, h)) return false;
-        ++seq_pop_.tick;
-        return true;
-      }
-      case shard_policy::sticky: {
-        const unsigned home = h.pop_cur_ & mask_;
-        if (pop_at(home, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          const unsigned s = (home + k) & mask_;
-          if (pop_at(s, slot, h)) {
-            h.pop_cur_ = s;  // rebalance-on-empty
-            return true;
-          }
-        }
-        return false;
-      }
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        const unsigned s = loads_[a].size.load(std::memory_order_relaxed) >=
-                                   loads_[b].size.load(std::memory_order_relaxed)
-                               ? a
-                               : b;
-        if (pop_at(s, slot, h)) return true;
-        for (unsigned k = 1; k < nshards_; ++k) {
-          if (pop_at((s + k) & mask_, slot, h)) return true;
-        }
-        return false;
-      }
-      case shard_policy::round_robin:
-      default: {
-        const unsigned c = h.pop_cur_;
-        for (unsigned k = 0; k < nshards_; ++k) {
-          if (pop_at((c + k) & mask_, slot, h)) {
-            h.pop_cur_ = c + k + 1;
-            return true;
-          }
-        }
-        return false;
-      }
-    }
+    return scan(h.pop_cur_, [&](unsigned s) {
+      return shards_[s].try_pop(slot, h.subs_[s]);
+    });
   }
 
   // The shard a batch chunk should target, advancing picker state
   // once per CHUNK (that is the amortization): rr steps its cursor,
-  // sticky stays home, load_aware re-samples.
-  unsigned pick_push_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.push_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) <=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.push_cur_++) & mask_;
-    }
-  }
-
-  unsigned pick_pop_shard(handle& h) {
-    switch (policy_) {
-      case shard_policy::sticky:
-        return h.pop_cur_ & mask_;
-      case shard_policy::load_aware: {
-        const unsigned a = sample(h);
-        const unsigned b = sample(h);
-        return loads_[a].size.load(std::memory_order_relaxed) >=
-                       loads_[b].size.load(std::memory_order_relaxed)
-                   ? a
-                   : b;
-      }
-      default:
-        return (h.pop_cur_++) & mask_;
-    }
+  // sticky stays home.
+  unsigned pick_shard(unsigned& cur) {
+    return (policy_ == shard_policy::sticky ? cur : cur++) & mask_;
   }
 
   // Push a run of encoded slots into shard s; native backend burst
@@ -588,10 +406,6 @@ class sharded {
     } else {
       while (ok < n && shards_[s].try_push(slots[ok], h.subs_[s])) ++ok;
     }
-    if (ok > 0) {
-      loads_[s].size.fetch_add(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
     return ok;
   }
 
@@ -607,10 +421,6 @@ class sharded {
     } else {
       while (ok < n && shards_[s].try_pop(&slots[ok], h.subs_[s])) ++ok;
     }
-    if (ok > 0) {
-      loads_[s].size.fetch_sub(static_cast<std::int64_t>(ok),
-                               std::memory_order_relaxed);
-    }
     return ok;
   }
 
@@ -620,14 +430,9 @@ class sharded {
   // and the remainder re-picks. Stops only on a global refusal.
   std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
                          handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && push_slot(slots[done], h)) ++done;
-      return done;
-    }
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick_push_shard(h);
+      const unsigned s = pick_shard(h.push_cur_);
       done += shard_push_n(s, slots + done, n - done, h);
       if (done == n) break;
       if (!push_slot(slots[done], h)) break;
@@ -637,14 +442,9 @@ class sharded {
   }
 
   std::size_t pop_slots(std::uint64_t* slots, std::size_t n, handle& h) {
-    if (policy_ == shard_policy::sequenced) {
-      std::size_t done = 0;
-      while (done < n && pop_slot(&slots[done], h)) ++done;
-      return done;
-    }
     std::size_t done = 0;
     while (done < n) {
-      const unsigned s = pick_pop_shard(h);
+      const unsigned s = pick_shard(h.pop_cur_);
       done += shard_pop_n(s, slots + done, n - done, h);
       if (done == n) break;
       if (!pop_slot(&slots[done], h)) break;
@@ -658,10 +458,7 @@ class sharded {
   const shard_policy policy_;
   const unsigned batch_limit_;
   Backend* shards_ = nullptr;
-  ShardLoad* loads_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
-  SeqSide seq_push_;
-  SeqSide seq_pop_;
 };
 
 }  // namespace wcq

@@ -54,35 +54,25 @@ struct WcqTestAccess;
 template <bool Portable>
 class WcqQueueT {
  public:
-  // Backend-internal configuration; the public surface is
-  // wcq::options. Kept because the paper's knob names (MAX_PATIENCE,
-  // HELP_DELAY) map onto it one-to-one.
-  struct Config {
-    // capacity = 2^order values. Note words carry ring indices in 21
-    // aux bits, so order must be <= detail::kMaxNoteOrder (20); the
-    // constructor throws std::invalid_argument beyond that.
-    unsigned order = 16;
-    // Note words index threads by a 9-bit slot, so at most
-    // detail::kMaxNoteThreads (512) concurrent handles; the
-    // constructor throws std::invalid_argument beyond that.
-    unsigned max_threads = 128;
-    unsigned enqueue_patience = 16;  // paper Section 6
-    unsigned dequeue_patience = 64;
-    unsigned help_delay = 16;
-    bool remap = true;
-  };
+  using Handle = RegistryHandle<WcqQueueT>;
 
-  class Handle;
-
-  explicit WcqQueueT(const Config& cfg)
-      : cfg_(sanitize(cfg)),
-        n_(std::uint64_t{1} << cfg_.order),
+  // Note words carry ring indices in 21 aux bits and thread slots in 9,
+  // so order must be <= detail::kMaxNoteOrder (20) and max_threads <=
+  // detail::kMaxNoteThreads (512); the constructor throws
+  // std::invalid_argument beyond either. Zero patience, help_delay or
+  // max_threads is raised to 1.
+  explicit WcqQueueT(const options& opt)
+      : max_threads_(check_threads(opt.max_threads())),
+        enqueue_patience_(at_least_one(opt.enqueue_patience())),
+        dequeue_patience_(at_least_one(opt.dequeue_patience())),
+        help_delay_(at_least_one(opt.help_delay())),
+        n_(std::uint64_t{1} << check_order(opt.order())),
         reqs_(static_cast<RingRequest*>(
-            mem::alloc(cfg_.max_threads * sizeof(RingRequest)))),
-        aq_(cfg_.order, cfg_.remap, Portable, reqs_, /*is_fq=*/false),
-        fq_(cfg_.order, cfg_.remap, Portable, reqs_, /*is_fq=*/true),
-        slots_(cfg_.max_threads) {
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) {
+            mem::alloc(max_threads_ * sizeof(RingRequest)))),
+        aq_(opt.order(), opt.remap(), Portable, reqs_, /*is_fq=*/false),
+        fq_(opt.order(), opt.remap(), Portable, reqs_, /*is_fq=*/true),
+        slots_(max_threads_) {
+    for (unsigned i = 0; i < max_threads_; ++i) {
       new (&reqs_[i]) RingRequest();
     }
     data_ = static_cast<std::atomic<std::uint64_t>*>(
@@ -92,11 +82,9 @@ class WcqQueueT {
       aq_.enqueue_idx(i, WcqRing::kUnbounded);
     }
     recs_ = static_cast<ThreadRec*>(
-        mem::alloc(cfg_.max_threads * sizeof(ThreadRec)));
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) new (&recs_[i]) ThreadRec();
+        mem::alloc(max_threads_ * sizeof(ThreadRec)));
+    for (unsigned i = 0; i < max_threads_; ++i) new (&recs_[i]) ThreadRec();
   }
-
-  explicit WcqQueueT(const options& opt) : WcqQueueT(config_from(opt)) {}
 
   ~WcqQueueT() {
     // Lifetime contract: every handle must die before its queue — a
@@ -104,11 +92,11 @@ class WcqQueueT {
     // memory. Catch the misuse here, where the guilty queue is known.
     assert(slots_.live() == 0 &&
            "wcq: a Handle is outliving its queue (use-after-free ahead)");
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) recs_[i].~ThreadRec();
-    mem::free(recs_, cfg_.max_threads * sizeof(ThreadRec));
+    for (unsigned i = 0; i < max_threads_; ++i) recs_[i].~ThreadRec();
+    mem::free(recs_, max_threads_ * sizeof(ThreadRec));
     mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>));
-    for (unsigned i = 0; i < cfg_.max_threads; ++i) reqs_[i].~RingRequest();
-    mem::free(reqs_, cfg_.max_threads * sizeof(RingRequest));
+    for (unsigned i = 0; i < max_threads_; ++i) reqs_[i].~RingRequest();
+    mem::free(reqs_, max_threads_ * sizeof(RingRequest));
   }
 
   WcqQueueT(const WcqQueueT&) = delete;
@@ -127,7 +115,7 @@ class WcqQueueT {
   std::optional<Handle> try_get_handle() {
     const unsigned slot = slots_.acquire();
     if (slot == SlotRegistry::kNone) return std::nullopt;
-    return Handle(this, &recs_[slot]);
+    return Handle(this, slot);
   }
 
   // Throwing flavor for call sites where exhaustion is a logic error.
@@ -142,18 +130,18 @@ class WcqQueueT {
 
   // False iff the queue is full.
   bool try_push(std::uint64_t v, Handle& h) {
-    ThreadRec* rec = h.rec_;
+    ThreadRec* rec = &recs_[h.slot()];
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)
     std::uint64_t idx = 0;
-    const WcqRing::Result rc = aq_.dequeue_idx(&idx, cfg_.enqueue_patience);
+    const WcqRing::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
     if (rc == WcqRing::kEmpty) {
       rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
       return false;  // full: definitive, no slow path needed
     }
     if (rc == WcqRing::kOk) {
       data_[idx].store(v, std::memory_order_relaxed);
-      if (fq_.enqueue_idx(idx, cfg_.enqueue_patience) == WcqRing::kOk) {
+      if (fq_.enqueue_idx(idx, enqueue_patience_) == WcqRing::kOk) {
         rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -171,18 +159,18 @@ class WcqQueueT {
 
   // False iff the queue is empty.
   bool try_pop(std::uint64_t* v, Handle& h) {
-    ThreadRec* rec = h.rec_;
+    ThreadRec* rec = &recs_[h.slot()];
     maybe_help(rec);
 #if !defined(WCQ_ALL_SLOW)
     std::uint64_t idx = 0;
-    const WcqRing::Result rc = fq_.dequeue_idx(&idx, cfg_.dequeue_patience);
+    const WcqRing::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
     if (rc == WcqRing::kEmpty) {
       rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     if (rc == WcqRing::kOk) {
       *v = data_[idx].load(std::memory_order_relaxed);
-      if (aq_.enqueue_idx(idx, cfg_.enqueue_patience) != WcqRing::kOk) {
+      if (aq_.enqueue_idx(idx, enqueue_patience_) != WcqRing::kOk) {
         publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
         complete_ring_op(rec, nullptr);
       }
@@ -229,41 +217,37 @@ class WcqQueueT {
     unsigned help_cursor = 0;
   };
 
-  static Config config_from(const options& opt) {
-    Config cfg;
-    cfg.order = opt.order();
-    cfg.max_threads = opt.max_threads();
-    cfg.enqueue_patience = opt.enqueue_patience();
-    cfg.dequeue_patience = opt.dequeue_patience();
-    cfg.help_delay = opt.help_delay();
-    cfg.remap = opt.remap();
-    return cfg;
-  }
+  friend class RegistryHandle<WcqQueueT>;
 
-  static Config sanitize(Config cfg) {
-    if (cfg.enqueue_patience == 0) cfg.enqueue_patience = 1;
-    if (cfg.dequeue_patience == 0) cfg.dequeue_patience = 1;
-    if (cfg.help_delay == 0) cfg.help_delay = 1;
-    if (cfg.max_threads == 0) cfg.max_threads = 1;
-    // Every note must be representable: 9 slot bits, 21 aux bits.
-    // Reject rather than clamp — a silently halved capacity or lost
-    // handle slots would be far harder to debug than this throw.
-    if (cfg.max_threads > detail::kMaxNoteThreads) {
+  static unsigned at_least_one(unsigned v) { return v == 0 ? 1 : v; }
+
+  // Reject rather than clamp — a silently halved capacity or lost
+  // handle slots would be far harder to debug than this throw.
+  static unsigned check_threads(unsigned v) {
+    if (v > detail::kMaxNoteThreads) {
       throw std::invalid_argument(
           "wcq: max_threads exceeds kMaxNoteThreads (512)");
     }
-    if (cfg.order > detail::kMaxNoteOrder) {
-      throw std::invalid_argument("wcq: order exceeds kMaxNoteOrder (20)");
-    }
-    return cfg;
+    return at_least_one(v);
   }
 
-  void release_rec(ThreadRec* rec) {
+  static unsigned check_order(unsigned v) {
+    if (v > detail::kMaxNoteOrder) {
+      throw std::invalid_argument("wcq: order exceeds kMaxNoteOrder (20)");
+    }
+    return v;
+  }
+
+  void release_slot(unsigned slot) {
     // The owner is past its last operation, so its request is Idle and
     // helpers ignore it; counters intentionally persist so stats()
     // stays monotone across recycling.
-    slots_.release(static_cast<unsigned>(rec - recs_));
+    slots_.release(slot);
   }
+
+  // h's record through h's own queue: WcqTestAccess::helps(h) has no
+  // queue argument.
+  static ThreadRec* rec_of(Handle& h) { return &h.q_->recs_[h.slot()]; }
 
   RingRequest* req_of(ThreadRec* rec) {
     return &reqs_[static_cast<unsigned>(rec - recs_)];
@@ -336,7 +320,7 @@ class WcqQueueT {
   // Every help_delay own-operations, look at one peer (round-robin)
   // and drive its pending request, if any, to completion.
   void maybe_help(ThreadRec* rec) {
-    if (++rec->op_count % cfg_.help_delay != 0) return;
+    if (++rec->op_count % help_delay_ != 0) return;
     const unsigned touched = slots_.high_water();
     if (touched <= 1) return;
     unsigned peer = rec->help_cursor++ % touched;
@@ -351,7 +335,10 @@ class WcqQueueT {
     }
   }
 
-  const Config cfg_;
+  const unsigned max_threads_;
+  const unsigned enqueue_patience_;
+  const unsigned dequeue_patience_;
+  const unsigned help_delay_;
   const std::uint64_t n_;
   RingRequest* const reqs_;  // shared by both rings, indexed by slot
   WcqRing aq_;
@@ -359,50 +346,6 @@ class WcqQueueT {
   std::atomic<std::uint64_t>* data_ = nullptr;
   ThreadRec* recs_ = nullptr;
   SlotRegistry slots_;
-};
-
-template <bool Portable>
-class WcqQueueT<Portable>::Handle {
- public:
-  // Handles only come from the queue; a default-constructed one would
-  // dereference null on first use.
-  Handle() = delete;
-
-  Handle(Handle&& other) noexcept
-      : q_(std::exchange(other.q_, nullptr)),
-        rec_(std::exchange(other.rec_, nullptr)) {}
-
-  Handle& operator=(Handle&& other) noexcept {
-    if (this != &other) {
-      release();
-      q_ = std::exchange(other.q_, nullptr);
-      rec_ = std::exchange(other.rec_, nullptr);
-    }
-    return *this;
-  }
-
-  Handle(const Handle&) = delete;
-  Handle& operator=(const Handle&) = delete;
-
-  ~Handle() { release(); }
-
-  // True unless moved-from. Using a moved-from handle is UB.
-  explicit operator bool() const { return rec_ != nullptr; }
-
- private:
-  friend class WcqQueueT<Portable>;
-  friend struct WcqTestAccess<Portable>;
-
-  Handle(WcqQueueT* q, ThreadRec* rec) : q_(q), rec_(rec) {}
-
-  void release() {
-    if (q_ != nullptr) q_->release_rec(rec_);
-    q_ = nullptr;
-    rec_ = nullptr;
-  }
-
-  WcqQueueT* q_ = nullptr;
-  ThreadRec* rec_ = nullptr;
 };
 
 // Deterministic slow-path levers for the test suite: publish a request
@@ -415,7 +358,7 @@ struct WcqTestAccess {
 
   // Owner published a slow pop (stage 1: fq dequeue) and stalled.
   static void publish_stalled_pop(Q& q, H& h) {
-    q.publish_ring_op(h.rec_, /*fq_ring=*/true, /*deq=*/true, 0);
+    q.publish_ring_op(Q::rec_of(h), /*fq_ring=*/true, /*deq=*/true, 0);
   }
 
   // Owner got its free index, wrote the value, published the fq
@@ -428,16 +371,18 @@ struct WcqTestAccess {
       return false;
     }
     q.data_[idx].store(v, std::memory_order_relaxed);
-    q.publish_ring_op(h.rec_, /*fq_ring=*/true, /*deq=*/false, idx);
+    q.publish_ring_op(Q::rec_of(h), /*fq_ring=*/true, /*deq=*/false, idx);
     return true;
   }
 
   // Helper-side single call: drive h's request as maybe_help would.
-  static bool help(Q& q, H& h) { return q.help_request(q.req_of(h.rec_)); }
+  static bool help(Q& q, H& h) {
+    return q.help_request(q.req_of(Q::rec_of(h)));
+  }
 
   static bool done_ok(Q& q, H& h) {
     const std::uint64_t c =
-        q.req_of(h.rec_)->ctl.load(std::memory_order_acquire);
+        q.req_of(Q::rec_of(h))->ctl.load(std::memory_order_acquire);
     return detail::ctl_state(c) == detail::kReqDoneOk;
   }
 
@@ -445,20 +390,20 @@ struct WcqTestAccess {
   // by helpers), then run stage 2 (return the index to aq).
   static bool finish_pop(Q& q, H& h, std::uint64_t* v) {
     std::uint64_t idx = 0;
-    if (!q.complete_ring_op(h.rec_, &idx)) return false;
+    if (!q.complete_ring_op(Q::rec_of(h), &idx)) return false;
     *v = q.data_[idx].load(std::memory_order_relaxed);
-    q.publish_ring_op(h.rec_, /*fq_ring=*/false, /*deq=*/false, idx);
-    q.complete_ring_op(h.rec_, nullptr);
+    q.publish_ring_op(Q::rec_of(h), /*fq_ring=*/false, /*deq=*/false, idx);
+    q.complete_ring_op(Q::rec_of(h), nullptr);
     return true;
   }
 
   // Owner resumes a stalled push: its stage 2 is the whole remainder.
   static bool finish_push(Q& q, H& h) {
-    return q.complete_ring_op(h.rec_, nullptr);
+    return q.complete_ring_op(Q::rec_of(h), nullptr);
   }
 
   static std::uint64_t helps(H& h) {
-    return h.rec_->helps.load(std::memory_order_relaxed);
+    return Q::rec_of(h)->helps.load(std::memory_order_relaxed);
   }
 };
 

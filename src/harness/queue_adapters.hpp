@@ -5,14 +5,10 @@
 // no per-queue Config plumbing here; wcq::options configures every
 // backend uniformly.
 //
-// Implemented for real: wCQ (+ portable build), the SCQ family on the
-// layered ring kernel (NCQ, CCQ, SCQ, LSCQ), FAA, MSQ, LCRQ. Aliased
-// placeholders (name carries a '*'): the rest of the lineup is mapped
-// to the nearest implemented design so every figure binary links and
-// runs end-to-end — YMC* -> FAA (unbounded FAA array), CRTurn* -> MSQ
-// (CAS list), uwCQ* -> wCQ. Real implementations are ROADMAP open
-// items: each lands as a Backend satisfying wcq::concepts::Backend
-// and replaces its alias below.
+// Implemented: wCQ (+ portable build), the SCQ family on the layered
+// ring kernel (NCQ, CCQ, SCQ, LSCQ), FAA, MSQ, LCRQ. YMC, CRTurn and
+// uwCQ are not implemented, so the figures carry no series for them;
+// each would land as a Backend satisfying wcq::concepts::Backend.
 #pragma once
 
 #include <cstdint>
@@ -56,27 +52,22 @@ class ShardedLineup : public wcq::sharded<std::uint64_t, Backend> {
       : base(opt.shards() != 0 ? opt : options{opt}.shards(4)) {}
 };
 
-// Series names as they appear in the paper's legends. A trailing '*'
-// marks an aliased placeholder, not the real algorithm yet.
+// Series names as they appear in the paper's legends.
 inline constexpr char kWcqName[] = "wCQ";
 inline constexpr char kWcqPortableName[] = "wCQ-llsc";
-inline constexpr char kUwcqName[] = "uwCQ*";
 inline constexpr char kScqName[] = "SCQ";
 inline constexpr char kNcqName[] = "NCQ";
 inline constexpr char kCcqName[] = "CCQ";
 inline constexpr char kLscqName[] = "LSCQ";
 inline constexpr char kFaaName[] = "FAA";
-inline constexpr char kYmcName[] = "YMC*";
 inline constexpr char kLcrqName[] = "LCRQ";
 inline constexpr char kMsqName[] = "MSQ";
-inline constexpr char kCrTurnName[] = "CRTurn*";
 inline constexpr char kShardedWcqName[] = "wCQ-shard";
 inline constexpr char kShardedLcrqName[] = "LCRQ-shard";
 inline constexpr char kShardedFaaName[] = "FAA-shard";
 
 using WcqAdapter = Lineup<WcqQueue, kWcqName>;
 using WcqPortableAdapter = Lineup<WcqPortableQueue, kWcqPortableName>;
-using UwcqAdapter = Lineup<WcqQueue, kUwcqName>;
 
 using ScqAdapter = Lineup<ScqQueue, kScqName>;
 using NcqAdapter = Lineup<NcqQueue, kNcqName>;
@@ -84,13 +75,11 @@ using CcqAdapter = Lineup<CcqQueue, kCcqName>;
 using LscqAdapter = Lineup<LscqQueue, kLscqName>;
 
 using FaaAdapter = Lineup<FaaQueue, kFaaName>;
-using YmcAdapter = Lineup<FaaQueue, kYmcName>;
 using LcrqAdapter = Lineup<LcrqQueue, kLcrqName>;
 
 using MsqAdapter = Lineup<MsqQueue, kMsqName>;
-using CrTurnAdapter = Lineup<MsqQueue, kCrTurnName>;
 
-// The PR 9 scaling layer over the two flagship backends (plus FAA for
+// The sharded scaling layer over the two flagship backends (plus FAA for
 // the shard-sweep benches, where its native ticket burst makes the
 // batch API's amortization visible).
 using ShardedWcqAdapter = ShardedLineup<WcqQueue, kShardedWcqName>;
@@ -102,16 +91,13 @@ using ShardedFaaAdapter = ShardedLineup<FaaQueue, kShardedFaaName>;
 // template stack twelve frames deep.
 static_assert(concepts::Queue<WcqAdapter>);
 static_assert(concepts::Queue<WcqPortableAdapter>);
-static_assert(concepts::Queue<UwcqAdapter>);
 static_assert(concepts::Queue<ScqAdapter>);
 static_assert(concepts::Queue<NcqAdapter>);
 static_assert(concepts::Queue<CcqAdapter>);
 static_assert(concepts::Queue<LscqAdapter>);
 static_assert(concepts::Queue<FaaAdapter>);
-static_assert(concepts::Queue<YmcAdapter>);
 static_assert(concepts::Queue<LcrqAdapter>);
 static_assert(concepts::Queue<MsqAdapter>);
-static_assert(concepts::Queue<CrTurnAdapter>);
 static_assert(concepts::Queue<ShardedWcqAdapter>);
 static_assert(concepts::Queue<ShardedLcrqAdapter>);
 static_assert(concepts::Queue<ShardedFaaAdapter>);

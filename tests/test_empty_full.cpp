@@ -1,7 +1,7 @@
 // Empty-dequeue behaviour for every queue, and full-ring refusal for
-// the bounded ones (wCQ and the bounded SCQ family: NCQ, CCQ, SCQ;
-// FAA, MSQ, LCRQ and LSCQ are unbounded by design — the linked-ring
-// queues append a fresh ring/segment instead of refusing).
+// the bounded ones (wCQ, the bounded SCQ family: NCQ, CCQ, SCQ, and
+// sharded wCQ; FAA, MSQ, LCRQ and LSCQ are unbounded by design — the
+// linked-ring queues append a fresh ring/segment instead of refusing).
 #include "queue_test_common.hpp"
 
 int main(int argc, char** argv) {
@@ -25,6 +25,11 @@ int main(int argc, char** argv) {
   }
   if (selected(argc, argv, "ccq")) {
     test_full_ring<harness::CcqAdapter>("ccq");
+  }
+  // Round-robin's scan leaves both cursors alone when every shard
+  // refuses, so one handle keeps exact FIFO across a full episode.
+  if (selected(argc, argv, "sharded-wcq")) {
+    test_full_ring<harness::ShardedWcqAdapter>("sharded-wcq");
   }
   return 0;
 }

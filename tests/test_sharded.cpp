@@ -25,8 +25,6 @@ using namespace wcq;
 constexpr shard_policy kAllPolicies[] = {
     shard_policy::round_robin,
     shard_policy::sticky,
-    shard_policy::load_aware,
-    shard_policy::sequenced,
 };
 
 const char* policy_name(shard_policy p) {
@@ -35,10 +33,6 @@ const char* policy_name(shard_policy p) {
       return "round_robin";
     case shard_policy::sticky:
       return "sticky";
-    case shard_policy::load_aware:
-      return "load_aware";
-    case shard_policy::sequenced:
-      return "sequenced";
   }
   return "?";
 }
@@ -106,27 +100,39 @@ void test_per_shard_fifo_sticky() {
       options{}.order(12).shards(4).shard_policy(shard_policy::sticky));
   auto h = q.get_handle();
   const std::uint64_t n = 500;  // fits one shard (order 12/4 = 1024)
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WCQ_CHECK(q.try_push(i, h), "sticky push %llu refused",
-              (unsigned long long)i);
-  }
-  // Exactly one shard is non-empty, and it holds everything.
-  unsigned loaded = 0;
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    if (q.shard_load(s) != 0) {
-      ++loaded;
-      WCQ_CHECK(q.shard_load(s) == static_cast<std::int64_t>(n),
-                "sticky scattered: shard %u holds %lld of %llu", s,
-                (long long)q.shard_load(s), (unsigned long long)n);
+  const auto push_all = [&] {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      WCQ_CHECK(q.try_push(i, h), "sticky push %llu refused",
+                (unsigned long long)i);
     }
-  }
-  WCQ_CHECK(loaded == 1, "sticky touched %u shards", loaded);
+  };
+  push_all();
   // Same handle, aligned home: exact FIFO back out.
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto v = q.try_pop(h);
     WCQ_CHECK(v && *v == i, "sticky FIFO broken at %llu",
               (unsigned long long)i);
   }
+  // Again, read shard by shard: exactly one shard is non-empty, and it
+  // holds everything in push order.
+  push_all();
+  unsigned loaded = 0;
+  for (unsigned s = 0; s < q.shard_count(); ++s) {
+    auto bh = q.shard(s).get_handle();
+    std::uint64_t v = 0;
+    std::uint64_t got = 0;
+    while (q.shard(s).try_pop(&v, bh)) {
+      WCQ_CHECK(v == got, "sticky shard %u out of order at %llu: got %llu",
+                s, (unsigned long long)got, (unsigned long long)v);
+      ++got;
+    }
+    if (got != 0) {
+      ++loaded;
+      WCQ_CHECK(got == n, "sticky scattered: shard %u holds %llu of %llu", s,
+                (unsigned long long)got, (unsigned long long)n);
+    }
+  }
+  WCQ_CHECK(loaded == 1, "sticky touched %u shards", loaded);
   std::printf("  ok sharded_fifo      sticky per-shard order\n");
 }
 
@@ -145,8 +151,18 @@ void test_sticky_rebalance() {
               (unsigned long long)i);
   }
   WCQ_CHECK(!q.try_push(999, h), "push past total capacity succeeded");
+  // Take one value out of each shard through a backend handle and put
+  // it straight back: a shard that yields one was reached.
   unsigned non_empty = 0;
-  for (unsigned s = 0; s < 4; ++s) non_empty += q.shard_load(s) != 0;
+  for (unsigned s = 0; s < 4; ++s) {
+    auto bh = q.shard(s).get_handle();
+    std::uint64_t v = 0;
+    if (q.shard(s).try_pop(&v, bh)) {
+      ++non_empty;
+      WCQ_CHECK(q.shard(s).try_push(v, bh), "shard %u refused its own value",
+                s);
+    }
+  }
   WCQ_CHECK(non_empty == 4, "rebalance-on-full reached %u of 4 shards",
             non_empty);
 
@@ -157,29 +173,6 @@ void test_sticky_rebalance() {
   while (q.try_pop(h2)) ++got;
   WCQ_CHECK(got == 64, "rebalance-on-empty drained %u of 64", got);
   std::printf("  ok sharded_rebalance sticky full/empty\n");
-}
-
-// Sequenced policy restores exact global FIFO even though values
-// spread across shards: push k and pop k meet at the same shard
-// because tickets are only consumed on success.
-void test_sequenced_global_fifo() {
-  sharded<std::uint64_t> q(
-      options{}.order(10).shards(4).shard_policy(shard_policy::sequenced));
-  auto h = q.get_handle();
-  const std::uint64_t n = 700;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WCQ_CHECK(q.try_push(i, h), "sequenced push refused");
-  }
-  // All four shards hold a slice — this is not one-shard FIFO.
-  for (unsigned s = 0; s < 4; ++s) {
-    WCQ_CHECK(q.shard_load(s) > 0, "sequenced skipped shard %u", s);
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto v = q.try_pop(h);
-    WCQ_CHECK(v && *v == i, "sequenced global FIFO broken at %llu: got %llu",
-              (unsigned long long)i, (unsigned long long)(v ? *v : ~0ull));
-  }
-  std::printf("  ok sharded_sequenced global FIFO across shards\n");
 }
 
 // Batch edges: zero-size spans, spans above batch_limit (chunking),
@@ -370,7 +363,6 @@ int main() {
   test_mpmc_all_policies();
   test_per_shard_fifo_sticky();
   test_sticky_rebalance();
-  test_sequenced_global_fifo();
   test_batch_edges();
   test_batch_boxed();
   test_batch_sentinel_refusal();
