@@ -36,11 +36,11 @@ class FaaQueue {
   static constexpr std::uint64_t kEmptyCell = ~std::uint64_t{0};
   static constexpr std::uint64_t kTakenCell = ~std::uint64_t{0} - 1;
 
-  // 2^seg_order slots per segment; retire_threshold 0 = auto (see
-  // wcq/smr.hpp).
+  // 2^seg_order slots per segment, seg_order at most 20;
+  // retire_threshold 0 = auto (see wcq/smr.hpp).
   explicit FaaQueue(const options& opt)
-      : seg_order_(opt.seg_order()),
-        seg_slots_(std::uint64_t{1} << opt.seg_order()),
+      : seg_order_(check_seg_order(opt.seg_order())),
+        seg_slots_(std::uint64_t{1} << seg_order_),
         slots_(opt.max_threads() ? opt.max_threads() : 1),
         smr_(slots_.capacity(), opt.retire_threshold()) {
     Segment* first = new_segment(0);
@@ -183,6 +183,13 @@ class FaaQueue {
   void release_slot(unsigned slot) {
     smr_.quiesce(slot);
     slots_.release(slot);
+  }
+
+  static unsigned check_seg_order(unsigned v) {
+    if (v > 20) {
+      throw std::invalid_argument("faa: seg_order exceeds 20");
+    }
+    return v;
   }
 
   bool push_impl(std::uint64_t v) {

@@ -23,15 +23,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "wcq/detail.hpp"
-#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
-#include "wcq/options.hpp"
 #include "wcq/ring_entry.hpp"
 #include "wcq/ring_math.hpp"
 #include "wcq/ring_policy.hpp"
+#include "wcq/two_ring.hpp"
 
 namespace wcq {
 
@@ -145,62 +143,8 @@ class NcqRing {
   alignas(detail::kNoFalseSharing) ring::PlainEntry* entries_ = nullptr;
 };
 
-// NCQ as a bounded MPMC queue of 64-bit values: the same two-ring
-// construction as ScqQueue, over naive rings.
-class NcqQueue {
- public:
-  using Handle = TrivialHandle;
-
-  // capacity = 2^order values.
-  explicit NcqQueue(const options& opt)
-      : n_(std::uint64_t{1} << opt.order()),
-        aq_(opt.order(), opt.remap()),
-        fq_(opt.order(), opt.remap()) {
-    data_ = static_cast<std::atomic<std::uint64_t>*>(
-        mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, NcqRing::kUnbounded);
-    }
-  }
-
-  ~NcqQueue() { mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>)); }
-
-  NcqQueue(const NcqQueue&) = delete;
-  NcqQueue& operator=(const NcqQueue&) = delete;
-
-  std::uint64_t capacity() const { return n_; }
-
-  Handle get_handle() { return Handle{}; }
-  std::optional<Handle> try_get_handle() { return Handle{}; }
-
-  // False iff the queue is full.
-  bool try_push(std::uint64_t v, Handle&) {
-    std::uint64_t idx = 0;
-    if (aq_.dequeue_idx(&idx, NcqRing::kUnbounded) == NcqRing::kEmpty) {
-      return false;  // no free slots: full
-    }
-    data_[idx].store(v, std::memory_order_relaxed);
-    fq_.enqueue_idx(idx, NcqRing::kUnbounded);
-    return true;
-  }
-
-  // False iff the queue is empty.
-  bool try_pop(std::uint64_t* v, Handle&) {
-    std::uint64_t idx = 0;
-    if (fq_.dequeue_idx(&idx, NcqRing::kUnbounded) == NcqRing::kEmpty) {
-      return false;
-    }
-    *v = data_[idx].load(std::memory_order_relaxed);
-    aq_.enqueue_idx(idx, NcqRing::kUnbounded);
-    return true;
-  }
-
- private:
-  const std::uint64_t n_;
-  NcqRing aq_;  // free slots (starts full)
-  NcqRing fq_;  // filled slots (starts empty)
-  std::atomic<std::uint64_t>* data_ = nullptr;
-};
+// NCQ as a bounded MPMC queue of 64-bit values: the two-ring queue
+// over naive rings.
+using NcqQueue = TwoRingQueue<NcqRing>;
 
 }  // namespace wcq

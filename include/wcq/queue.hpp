@@ -12,19 +12,19 @@
 /// accounting still sees it.
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
-/// the backend (a real ThreadRec slot for wCQ, nothing for
-/// SCQ/FAA/MSQ) and destruction recycles the registration, so
-/// max_threads bounds concurrent participants rather than lifetime
-/// thread count.
+/// the backend (a ThreadRec slot for wCQ, a registry slot with its
+/// SMR state for FAA, MSQ, LSCQ and LCRQ, nothing for SCQ/NCQ/CCQ)
+/// and destruction recycles the registration, so max_threads bounds
+/// concurrent participants rather than lifetime thread count.
 ///
 /// Caveat: a backend may reserve slot bit patterns for its own
 /// protocol (FaaQueue reserves the top two as EMPTY/TAKEN sentinels,
-/// LcrqQueue the all-ones EMPTY pattern; wCQ/SCQ/MSQ reserve none). An
-/// inline-encoded T whose bytes collide with a reserved pattern (e.g.
-/// std::int64_t{-1} over FaaQueue) is refused by that backend's
-/// try_push — use a boxed slot_codec specialization over such backends
-/// when T needs the full 64-bit space, since pointers never collide
-/// with the sentinels.
+/// LcrqQueue the all-ones EMPTY pattern; wCQ, the SCQ family, LSCQ
+/// and MSQ reserve none). An inline-encoded T whose bytes collide
+/// with a reserved pattern (e.g. std::int64_t{-1} over FaaQueue) is
+/// refused by that backend's try_push — use a boxed slot_codec
+/// specialization over such backends when T needs the full 64-bit
+/// space, since pointers never collide with the sentinels.
 #pragma once
 
 #include <algorithm>
@@ -267,7 +267,7 @@ class queue {
   }
 
   /// Backends that reclaim through the shared SMR layer (MSQ, FAA,
-  /// LCRQ) expose the domain's retire/scan counters.
+  /// LSCQ, LCRQ) expose the domain's retire/scan counters.
   auto smr_stats() const
     requires requires(const Backend& b) { b.smr_stats(); }
   {

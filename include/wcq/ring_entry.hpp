@@ -17,7 +17,7 @@
 // std::atomic<uint64_t> members and, through reinterpret_cast, as one
 // detail::Pair for the 16-byte CAS — see the aliasing contract above
 // detail::Pair. The static_asserts here pin the layout that contract
-// relies on; they lived in scq_ring.hpp before the kernel split.
+// relies on.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // Ring arithmetic — the layer every SCQ-family ring (NCQ, CCQ, SCQ,
-// wCQ, LSCQ segments) shares, factored out of the old scq_ring.hpp
-// monolith so a new ring variant composes it instead of forking it.
+// wCQ, LSCQ segments) shares, so a new ring variant composes it
+// instead of forking it.
 //
 // Two pieces:
 //

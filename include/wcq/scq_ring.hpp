@@ -104,7 +104,7 @@ class ScqRingT {
   // slot; required iff Noted. `is_fq` is the ring's identity bit in
   // request ctl words (0 = free-index ring aq, 1 = value ring fq), so
   // helpers never step a request against the wrong ring.
-  ScqRingT(unsigned order, bool remap, bool portable_consume,
+  ScqRingT(unsigned order, bool remap, bool portable_consume = false,
            RingRequest* reqs = nullptr, bool is_fq = false)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)

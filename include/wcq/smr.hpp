@@ -1,7 +1,7 @@
 /// \file
 /// wcq::smr — the shared safe-memory-reclamation layer every
-/// dynamic-memory backend (MSQ, FAA, LCRQ, future YMC/LSCQ/uwCQ)
-/// routes retired nodes through.
+/// dynamic-memory backend (MSQ, FAA, and the segment list under LSCQ
+/// and LCRQ) routes retired nodes through.
 ///
 /// One Domain per queue, sized by the queue's max_threads: each
 /// handle slot owns a fixed strip of hazard-pointer words plus one
@@ -16,8 +16,8 @@
 ///    idiom in SNIPPETS.md is the same shape): protect(slot, i, src)
 ///    publishes a pointer and re-validates the source until stable.
 ///    A retired node whose address is published anywhere is not
-///    freed. MSQ and LCRQ use this for the node / ring currently in
-///    hand.
+///    freed. MSQ, LSCQ and LCRQ use this for the node / segment
+///    currently in hand.
 ///  - Epochs: pin(slot) publishes the current global epoch for the
 ///    duration of an operation. A node retired at epoch e is not
 ///    freed until every pinned slot shows an epoch strictly greater

@@ -1,13 +1,13 @@
-// LCRQ-specific coverage, beyond the shared battery the ctest lineup
-// already runs against it (fifo_lcrq / empty_full_lcrq / mpmc_lcrq).
+// Segment-list coverage, beyond the shared battery the ctest lineup
+// already runs against LCRQ and LSCQ (fifo_* / empty_full_* / mpmc_*).
 // These tests force the parts the generic battery touches only by
-// luck: ring closure and ring-list crossing (tiny order), retirement
-// of drained rings through the shared SMR layer (bounded, non-zero
-// reclamation), the reserved all-ones sentinel, and heavy MPMC churn
-// over a ring small enough that every few hundred ops closes one.
+// luck: segment closure and list crossing (tiny order) over both
+// segment types, retirement of drained segments through the shared
+// SMR layer (bounded, non-zero reclamation), LCRQ's reserved all-ones
+// sentinel, and heavy MPMC churn over a ring small enough that every
+// few hundred ops closes one.
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,39 +19,47 @@ namespace {
 
 using namespace wcq;
 using harness::LcrqAdapter;
+using harness::LscqAdapter;
 using wcq::test::env_ops;
 
-// Order-4 ring (16 cells), thousands of values: every 16 pushes close
-// the ring and link a fresh one, so FIFO order must survive dozens of
-// ring crossings, and the drained rings must come back through the
-// domain (reclaimed > 0) instead of accumulating.
-void test_ring_crossing() {
+// Order-4 segments (16 values), thousands of values: every 16 pushes
+// fill the tail segment and link a fresh one, so FIFO order must
+// survive hundreds of segment crossings, and the drained segments must
+// come back through the domain (reclaimed > 0) instead of
+// accumulating. LCRQ and LSCQ share the list, so both run it.
+template <concepts::ReclaimingQueue Q>
+void test_ring_crossing(const char* name) {
   const std::uint64_t n = 4096;
-  LcrqAdapter q(options{}.max_threads(2).order(4));
+  Q q(options{}.max_threads(2).order(4));
   auto h = q.get_handle();
 
   for (std::uint64_t i = 0; i < n; ++i) {
-    WCQ_CHECK(q.try_push(i, h), "push %llu refused", (unsigned long long)i);
+    WCQ_CHECK(q.try_push(i, h), "%s: push %llu refused", name,
+              (unsigned long long)i);
   }
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto v = q.try_pop(h);
-    WCQ_CHECK(v.has_value(), "pop %llu empty", (unsigned long long)i);
-    WCQ_CHECK(*v == i, "FIFO violated across ring crossings: got %llu want %llu",
-              (unsigned long long)*v, (unsigned long long)i);
+    WCQ_CHECK(v.has_value(), "%s: pop %llu empty", name,
+              (unsigned long long)i);
+    WCQ_CHECK(*v == i,
+              "%s: FIFO violated across segment crossings: got %llu want %llu",
+              name, (unsigned long long)*v, (unsigned long long)i);
   }
-  WCQ_CHECK(!q.try_pop(h).has_value(), "queue should be drained");
+  WCQ_CHECK(!q.try_pop(h).has_value(), "%s: queue should be drained", name);
 
   const auto st = q.smr_stats();
-  // n values over 16-cell rings retire ~n/16 rings; almost all must
-  // already be freed, and what's parked is under the amnesty bound.
+  // n values over 16-value segments retire ~n/16 segments; almost all
+  // must already be freed, and what's parked is under the amnesty
+  // bound.
   WCQ_CHECK(st.retire_calls >= n / 16 - 1,
-            "expected ~%llu ring retirements, saw %llu",
+            "%s: expected ~%llu segment retirements, saw %llu", name,
             (unsigned long long)(n / 16), (unsigned long long)st.retire_calls);
-  WCQ_CHECK(st.reclaimed_nodes > 0, "no drained ring was ever reclaimed");
+  WCQ_CHECK(st.reclaimed_nodes > 0, "%s: no drained segment was reclaimed",
+            name);
   WCQ_CHECK(st.retired_nodes <= 2 * 2 * 2,  // slots x MAX_GARBAGE(2)
-            "parked rings exceed the amnesty bound: %llu",
+            "%s: parked segments exceed the amnesty bound: %llu", name,
             (unsigned long long)st.retired_nodes);
-  std::printf("  ok lcrq_ring_crossing (%llu retires, %llu reclaimed)\n",
+  std::printf("  ok ring_crossing %s (%llu retires, %llu reclaimed)\n", name,
               (unsigned long long)st.retire_calls,
               (unsigned long long)st.reclaimed_nodes);
 }
@@ -146,25 +154,12 @@ void test_mpmc_ring_churn() {
               (unsigned long long)retire_calls);
 }
 
-// An order that would overflow the packed [safe|idx] arithmetic must
-// be a reportable configuration error, not silent corruption.
-void test_order_validation() {
-  bool threw = false;
-  try {
-    LcrqAdapter q(options{}.max_threads(2).order(31));
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  WCQ_CHECK(threw, "order > 30 must throw std::invalid_argument");
-  std::printf("  ok lcrq_order_validation\n");
-}
-
 }  // namespace
 
 int main() {
-  test_ring_crossing();
+  test_ring_crossing<LcrqAdapter>("lcrq");
+  test_ring_crossing<LscqAdapter>("lscq");
   test_sentinel_refused();
   test_mpmc_ring_churn();
-  test_order_validation();
   return 0;
 }
