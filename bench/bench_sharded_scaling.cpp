@@ -226,11 +226,11 @@ int main(int argc, char** argv) {
     named_series_latency<ShardedWcq>(
         closed, "wCQ shard=" + std::to_string(s) + "/rr+batch",
         pairwise_batch_workload<ShardedWcq>(batch), threads, ops, runs,
-        options{}.shards(s).batch_limit(batch));
+        options{}.shards(s));
     named_series_latency<ShardedFaa>(
         closed, "FAA shard=" + std::to_string(s) + "/rr+batch",
         pairwise_batch_workload<ShardedFaa>(batch), threads, ops, runs,
-        options{}.shards(s).batch_limit(batch));
+        options{}.shards(s));
   }
 
   // ---- open-loop: offered-rate response times ----

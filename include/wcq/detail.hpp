@@ -42,8 +42,8 @@ inline constexpr unsigned log2_pow2(std::uint64_t x) {
 // and needs {word, note} to change together (Figures 4-7). On x86-64
 // that is one `lock cmpxchg16b`; everywhere else (and under TSan,
 // which cannot see through inline asm) we fall back to the compiler's
-// 128-bit __atomic builtins — the same "portable build" posture as the
-// LL/SC-shaped ring consume of Section 4.
+// 128-bit __atomic builtins — the paper's Section 4 "portable build"
+// posture.
 
 struct Pair {
   std::uint64_t word;  // ring entry: [cycle | is_safe | index]
@@ -52,7 +52,8 @@ struct Pair {
 
 // Aliasing contract: the 16-byte CAS paths operate on storage that is
 // concurrently accessed as two separate std::atomic<uint64_t> members
-// (NotedEntry in scq_ring.hpp) through a reinterpret_cast to Pair.
+// (NotedEntry, SplitEntry in ring_entry.hpp) through a reinterpret_cast
+// to Pair.
 // Mixing access widths on the same atomic object is outside the C++
 // memory model, but it is the only way to pair cmpxchg16b with plain
 // 64-bit loads/CASes and is well-defined at the ISA level on every

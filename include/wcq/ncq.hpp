@@ -8,10 +8,11 @@
 //    first and then CAS-bumps Tail (losers that see the installed
 //    entry help-bump). Under contention every op is a CAS storm on the
 //    same two counters — the livelock the threshold-era designs cite.
-//  - No threshold (ring::NoThreshold): "empty" is the bare Tail <= Head
-//    comparison, and a dequeuer that keeps losing its Head CAS can spin
-//    indefinitely even on a near-empty queue. Entries are never cleared
-//    on dequeue — consumption is tracked by Head position alone.
+//  - No threshold: NCQ predates SCQ's definitive-empty budget, so
+//    "empty" is the bare Tail <= Head comparison, and a dequeuer that
+//    keeps losing its Head CAS can spin indefinitely even on a
+//    near-empty queue. Entries are never cleared on dequeue —
+//    consumption is tracked by Head position alone.
 //
 // The queue is the usual two-ring construction (aq free indices, fq
 // filled), which also supplies the invariant that makes the naive ring
@@ -28,7 +29,6 @@
 #include "wcq/mem.hpp"
 #include "wcq/ring_entry.hpp"
 #include "wcq/ring_math.hpp"
-#include "wcq/ring_policy.hpp"
 #include "wcq/two_ring.hpp"
 
 namespace wcq {
@@ -46,13 +46,11 @@ class NcqRing {
   NcqRing(unsigned order, bool remap)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
-                     : ring::Remap::identity(geo_)),
-        threshold_(geo_) {
+                     : ring::Remap::identity(geo_)) {
     entries_ = static_cast<ring::PlainEntry*>(
         mem::alloc(geo_.ring_size() * sizeof(ring::PlainEntry)));
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      entries_[j].word.store(geo_.pack(0, true, geo_.bot()),
-                             std::memory_order_relaxed);
+      entries_[j].init(geo_);
     }
     head_.store(geo_.ring_size(), std::memory_order_relaxed);
     tail_.store(geo_.ring_size(), std::memory_order_relaxed);
@@ -90,7 +88,6 @@ class NcqRing {
               std::memory_order_acq_rel, std::memory_order_acquire)) {
         tail_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                       std::memory_order_seq_cst);
-        threshold_.arm();  // NoThreshold: compiles to nothing
         return kOk;
       }
     }
@@ -100,10 +97,9 @@ class NcqRing {
   // Claim the value at Head by CAS-advancing Head past it. The entry
   // is left in place: Head moving past a position *is* its
   // consumption. kEmpty is the naive Tail <= Head observation — there
-  // is no definitive-empty budget to spend (threshold_.spent() is
-  // constant false), which is precisely NCQ's livelock exposure.
+  // is no definitive-empty budget to spend, which is precisely NCQ's
+  // livelock exposure.
   Result dequeue_idx(std::uint64_t* out, std::uint64_t max_iters) {
-    if (threshold_.spent()) return kEmpty;  // never: documents the slot
     for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
       std::uint64_t h = head_.load(std::memory_order_seq_cst);
       const std::uint64_t hcycle = geo_.cycle_of_pos(h);
@@ -135,8 +131,6 @@ class NcqRing {
 
   const ring::Geometry geo_;
   const ring::Remap remap_;
-  // The empty (absent) policy slot — see ring_policy.hpp.
-  [[no_unique_address]] ring::NoThreshold threshold_;
 
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> head_{0};
   alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> tail_{0};

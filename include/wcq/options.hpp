@@ -127,16 +127,6 @@ class options {
   }
   constexpr shard_policy_t shard_policy() const { return shard_policy_; }
 
-  /// Largest batch one try_push_n/try_pop_n call amortizes over a
-  /// single shard selection; longer spans are processed in chunks of
-  /// this size (re-picking between chunks). Must be >= 1 — the
-  /// sharded constructor throws std::invalid_argument on 0.
-  constexpr options& batch_limit(unsigned v) {
-    batch_limit_ = v;
-    return *this;
-  }
-  constexpr unsigned batch_limit() const { return batch_limit_; }
-
  private:
   unsigned order_ = 16;
   unsigned max_threads_ = 128;
@@ -148,7 +138,6 @@ class options {
   unsigned retire_threshold_ = 0;
   unsigned shards_ = 0;  // 0 = auto
   shard_policy_t shard_policy_ = shard_policy_t::round_robin;
-  unsigned batch_limit_ = 64;
 };
 
 }  // namespace wcq

@@ -20,8 +20,8 @@ namespace wcq {
 // {Pending, Phase2}. The owner and any number of helpers run this
 // concurrently; every step is a CAS on shared state, so all of them
 // make progress on the *same* request — nobody claims it exclusively.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::help_slow(RingRequest* r)
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::help_slow(RingRequest* r)
   requires(Noted)
 {
   for (;;) {
@@ -54,8 +54,8 @@ void ScqRingT<Noted, Finalizable>::help_slow(RingRequest* r)
 // request one step (commit decision, commit, result delivery) or
 // clear the note if its request is over. Callers loop; every call
 // makes global progress or observes someone else's.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::help_note(std::uint64_t j, std::uint64_t n)
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::help_note(std::uint64_t j, std::uint64_t n)
   requires(Noted)
 {
   RingRequest* r = &reqs_[detail::note_slot(n)];
@@ -101,8 +101,8 @@ void ScqRingT<Noted, Finalizable>::help_note(std::uint64_t j, std::uint64_t n)
 // Apply the committed operation at slot j: one CAS2 flips the
 // phase-A claim to phase-B and performs the word change. Exactly one
 // such CAS2 can succeed; racing helpers fail benignly and re-read.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::commit(RingRequest* r, std::uint64_t j,
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::commit(RingRequest* r, std::uint64_t j,
                                           std::uint64_t n, std::uint64_t w)
   requires(Noted)
 {
@@ -144,8 +144,8 @@ void ScqRingT<Noted, Finalizable>::commit(RingRequest* r, std::uint64_t j,
 // note. Every step is idempotent-by-CAS; any helper may run it. The
 // result CAS is seq-tagged so a finalizer that stalled here for a
 // whole operation lifetime cannot clobber a successor's result.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::finalize(RingRequest* r, std::uint64_t c,
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::finalize(RingRequest* r, std::uint64_t c,
                                             std::uint64_t j, std::uint64_t n)
   requires(Noted)
 {
@@ -184,8 +184,8 @@ void ScqRingT<Noted, Finalizable>::finalize(RingRequest* r, std::uint64_t c,
 // is the accountant). A stalled helper never blocks accounting: the
 // head CAS is attempted by every helper at p before the pos advance,
 // and the one success is itself the idempotence token.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::step_dequeue(RingRequest* r,
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::step_dequeue(RingRequest* r,
                                                 std::uint64_t c)
   requires(Noted)
 {
@@ -253,8 +253,8 @@ void ScqRingT<Noted, Finalizable>::step_dequeue(RingRequest* r,
 // One Pending-state step of a slow enqueue: claim an eligible empty
 // entry or advance the scan. Never finalizes empty — both rings of
 // the queue construction have guaranteed room for their index.
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::step_enqueue(RingRequest* r,
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::step_enqueue(RingRequest* r,
                                                 std::uint64_t c)
   requires(Noted)
 {
@@ -293,8 +293,8 @@ void ScqRingT<Noted, Finalizable>::step_enqueue(RingRequest* r,
   advance_pos(r, p, next);
 }
 
-template <bool Noted, bool Finalizable>
-bool ScqRingT<Noted, Finalizable>::advance_pos(RingRequest* r, std::uint64_t p,
+template <typename Entry, bool Finalizable>
+bool ScqRingT<Entry, Finalizable>::advance_pos(RingRequest* r, std::uint64_t p,
                                                std::uint64_t target)
   requires(Noted)
 {
@@ -303,8 +303,8 @@ bool ScqRingT<Noted, Finalizable>::advance_pos(RingRequest* r, std::uint64_t p,
                                         std::memory_order_acquire);
 }
 
-template <bool Noted, bool Finalizable>
-void ScqRingT<Noted, Finalizable>::try_finalize_empty(RingRequest* r,
+template <typename Entry, bool Finalizable>
+void ScqRingT<Entry, Finalizable>::try_finalize_empty(RingRequest* r,
                                                       std::uint64_t c)
   requires(Noted)
 {

@@ -6,9 +6,7 @@
 // is definitive in O(1) and nobody scans a dead ring. NCQ predates the
 // idea: its only exit is comparing Head against Tail, which a storm of
 // CAS-retrying peers can starve — the livelock the paper's strawman
-// exists to demonstrate. NoThreshold encodes that absence so NcqRing
-// composes the same layer stack with the policy slot deliberately
-// empty.
+// exists to demonstrate, so NcqRing has no policy here at all.
 #pragma once
 
 #include <atomic>
@@ -47,16 +45,6 @@ class ScqThreshold {
   const std::int64_t init_;
   // Starts spent: a fresh ring is empty until the first enqueue arms it.
   std::atomic<std::int64_t> v_{-1};
-};
-
-/// NCQ's policy slot: no budget, no definitive empty. Dequeuers fall
-/// back to the Head-vs-Tail comparison, which is exactly the
-/// livelock-prone detection the SCQ paper's strawman demonstrates.
-struct NoThreshold {
-  constexpr explicit NoThreshold(const Geometry&) {}
-  static constexpr bool spent() { return false; }
-  static constexpr void arm() {}
-  static constexpr bool spend() { return false; }
 };
 
 }  // namespace wcq::ring

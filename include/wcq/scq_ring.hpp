@@ -3,8 +3,9 @@
 //
 //   ring_math.hpp     Geometry (cycle/index packing) + Remap
 //                     (Cache_Remap / identity position permutation)
-//   ring_entry.hpp    entry codecs (plain word vs {word, note} pair)
-//   ring_policy.hpp   empty detection (ScqThreshold vs NoThreshold)
+//   ring_entry.hpp    entry codecs: snapshot, decode, pack, entry CAS
+//                     and consume for each entry layout
+//   ring_policy.hpp   empty detection (ScqThreshold)
 //   ring_noted.hpp    the wCQ helping/note layer — out-of-line
 //                     definitions of the members declared here under
 //                     requires(Noted); only wcq.hpp includes it
@@ -15,26 +16,36 @@
 // constant-time empty exit, and Cache_Remap spreads consecutive
 // positions across cache lines.
 //
-// Instantiations sharing the state machine:
+// ScqRingT<Entry, Finalizable> touches entries only through the
+// Entry codec, so one state machine serves every entry layout (all
+// resolved at compile time):
 //
-//   ScqRingT<false>        ("ScqRing")  64-bit entries, lock-free —
-//       plain SCQ, and the building block of ScqQueue's aq/fq pair.
-//   ScqRingT<true>         ("WcqRing")  128-bit {word, note} entries
-//       mutated by CAS2 — the wCQ ring (SPAA 2022, Figures 4-7). The
-//       second word parks *notes*: revocable claims and committed
-//       results of the cooperative slow path, so that any number of
-//       helpers can advance one stalled operation and the commit still
-//       happens exactly once (the CAS2 that flips a claim note to its
-//       phase-B form is the only way the entry word changes while
-//       claimed).
-//   ScqRingT<false, true>  ("FinalScqRing")  plain SCQ plus a closed
-//       bit in Tail: once close() is called no new enqueue ticket is
-//       issued, and drain_idx() sweeps the surviving tickets so an
-//       LSCQ segment can be proven sterile before it is retired to
-//       SMR. For non-finalizable instantiations every closed-bit
+//   ScqRingT<PlainEntry>        ("ScqRing")  64-bit entries, lock-free
+//       — plain SCQ, and the building block of ScqQueue's aq/fq pair.
+//   ScqRingT<NotedEntry>        ("WcqRing")  128-bit {word, note}
+//       entries mutated by CAS2 — the wCQ ring (SPAA 2022, Figures
+//       4-7). The second word parks *notes*: revocable claims and
+//       committed results of the cooperative slow path, so that any
+//       number of helpers can advance one stalled operation and the
+//       commit still happens exactly once (the CAS2 that flips a claim
+//       note to its phase-B form is the only way the entry word
+//       changes while claimed).
+//   ScqRingT<SplitEntry>        ("CcqRing")  128-bit {meta, idx}
+//       entries mutated by CAS2 — CCQ (ccq.hpp): the same protocol
+//       with the index in a word of its own.
+//   ScqRingT<PlainEntry, true>  ("FinalScqRing")  plain SCQ plus a
+//       closed bit in Tail: once close() is called no new enqueue
+//       ticket is issued, and drain_idx() sweeps the surviving tickets
+//       so an LSCQ segment can be proven sterile before it is retired
+//       to SMR. For non-finalizable instantiations every closed-bit
 //       branch folds away and the generated code is the plain ring's.
 //
-// Word layout (64 bits):   [ cycle | is_safe (1 bit) | index ]
+// The constructor's third argument, `portable`, only matters to noted
+// entries: it picks the __atomic CAS2 over cmpxchg16b for wCQ's
+// portable build (WcqPortableQueue sets it). Plain rings have no CAS2,
+// and CCQ's split entries always use native CAS2.
+//
+// Packed word layout (64 bits):   [ cycle | is_safe (1 bit) | index ]
 // where index occupies order+1 bits and all-ones means "empty" (BOT).
 //
 // Slow-path lifecycle of one request (RingRequest, one per thread):
@@ -79,11 +90,14 @@ struct alignas(detail::kNoFalseSharing) RingRequest {
                                          // the global Head ticket stream
 };
 
-template <bool Noted, bool Finalizable = false>
+template <typename Entry, bool Finalizable = false>
 class ScqRingT {
-  // The noted ring is the queue-level wCQ ring; segment finalization
-  // belongs to plain rings inside LSCQ. Nothing needs both.
-  static_assert(!(Noted && Finalizable));
+  // Segment finalization belongs to plain rings inside LSCQ; the noted
+  // ring is the queue-level wCQ ring and CCQ is a whole queue.
+  static_assert(!Finalizable || std::is_same_v<Entry, ring::PlainEntry>);
+
+  // The wCQ helping layer (ring_noted.hpp) rides on noted entries.
+  static constexpr bool Noted = std::is_same_v<Entry, ring::NotedEntry>;
 
  public:
   enum Result : int {
@@ -96,31 +110,26 @@ class ScqRingT {
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
   // Capacity is 2^order indices; the ring itself has 2^(order+1)
-  // entries. `remap` toggles Cache_Remap; `portable_consume` replaces
-  // the fetch_or consume with a CAS loop, mimicking the LL/SC-friendly
-  // portable build of the paper's Section 4 (the noted ring's consume
-  // is already a CAS2, so it only keeps the flag for interface parity).
-  // `reqs` is the queue's RingRequest array, which notes reference by
-  // slot; required iff Noted. `is_fq` is the ring's identity bit in
-  // request ctl words (0 = free-index ring aq, 1 = value ring fq), so
-  // helpers never step a request against the wrong ring.
-  ScqRingT(unsigned order, bool remap, bool portable_consume = false,
+  // entries. `remap` toggles Cache_Remap. `portable` makes noted
+  // entries use the __atomic CAS2 instead of cmpxchg16b (the paper's
+  // Section 4 portable build); other entries ignore it. `reqs` is
+  // the queue's RingRequest array, which notes reference by slot;
+  // required iff Noted. `is_fq` is the ring's identity bit in request
+  // ctl words (0 = free-index ring aq, 1 = value ring fq), so helpers
+  // never step a request against the wrong ring.
+  ScqRingT(unsigned order, bool remap, bool portable = false,
            RingRequest* reqs = nullptr, bool is_fq = false)
       : geo_(order),
         remap_(remap ? ring::Remap::cache(geo_, kLineBits)
                      : ring::Remap::identity(geo_)),
-        portable_consume_(portable_consume),
+        portable_(portable),
         reqs_(reqs),
         is_fq_(is_fq),
         threshold_(geo_) {
     entries_ = static_cast<Entry*>(
         mem::alloc(geo_.ring_size() * sizeof(Entry)));
     for (std::uint64_t j = 0; j < geo_.ring_size(); ++j) {
-      entries_[j].word.store(geo_.pack(0, true, geo_.bot()),
-                             std::memory_order_relaxed);
-      if constexpr (Noted) {
-        entries_[j].note.store(0, std::memory_order_relaxed);
-      }
+      entries_[j].init(geo_);
     }
     // Start positions at ring_size so live cycles begin at 1 and are
     // always distinguishable from the zero-initialised entries.
@@ -159,19 +168,12 @@ class ScqRingT {
       const std::uint64_t tcycle = geo_.cycle_of_pos(t);
       const std::uint64_t j = remap_.map(t);
       for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
-        if (geo_.cycle_of_entry(e) < tcycle &&
-            geo_.idx_of_entry(e) == geo_.bot() &&
-            (geo_.is_safe(e) ||
+        const Snap e = entries_[j].load();
+        if (Entry::cycle(geo_, e) < tcycle && Entry::is_bot(geo_, e) &&
+            (Entry::safe(geo_, e) ||
              head_.load(std::memory_order_seq_cst) <= t)) {
-          if (!word_cas(j, e, geo_.pack(tcycle, true, eidx))) {
-            if constexpr (Noted) {
-              // A parked note freezes the word; resolve it, then retry.
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
+          if (!word_cas(j, e, Entry::pack(geo_, tcycle, true, eidx))) {
+            help_parked(j);
             continue;  // entry changed under us; re-evaluate
           }
           threshold_.arm();
@@ -186,77 +188,7 @@ class ScqRingT {
   // Dequeue an index. kEmpty is definitive (threshold exhausted or
   // tail caught up); kContended means patience ran out first.
   Result dequeue_idx(std::uint64_t* out, std::uint64_t max_iters) {
-    if (threshold_.spent()) {
-      return kEmpty;  // the paper's fast empty exit (Figure 11a)
-    }
-    for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
-      const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
-      const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-      const std::uint64_t j = remap_.map(h);
-      bool advanced = false;
-      bool consumed_by_peer = false;
-      for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
-        const std::uint64_t ecycle = geo_.cycle_of_entry(e);
-        if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
-          if (!consume(j, e)) {
-            if constexpr (Noted) {
-              // Claimed by a slow-path request sharing this position:
-              // help it through; the value goes to the request and the
-              // re-read will see a consumed entry (our ticket is spent).
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
-            continue;
-          }
-          *out = geo_.idx_of_entry(e);
-          return kOk;
-        }
-        if (ecycle < hcycle) {
-          // Either advance an empty entry's cycle or mark a lagging
-          // value unsafe so a slow enqueuer cannot resurrect it.
-          const std::uint64_t fresh =
-              geo_.idx_of_entry(e) == geo_.bot()
-                  ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
-                  : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
-          if (!word_cas(j, e, fresh)) {
-            if constexpr (Noted) {
-              const std::uint64_t n =
-                  entries_[j].note.load(std::memory_order_acquire);
-              if (n != 0) help_note(j, n);
-            }
-            continue;
-          }
-        }
-        // ecycle == hcycle with BOT and ecycle > hcycle both land
-        // here. A cleared safe bit at exactly our cycle is the slow
-        // path's consume marker: our ticket's value went to a request
-        // (which never held a head ticket for it), so the position
-        // *did* yield a value and must not be accounted as failed —
-        // in SCQ a value-yielding ticket never decrements threshold.
-        if constexpr (Noted) {
-          consumed_by_peer = ecycle == hcycle &&
-                             geo_.idx_of_entry(e) == geo_.bot() &&
-                             !geo_.is_safe(e);
-        }
-        advanced = true;
-        break;
-      }
-      if (advanced) {
-        const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-        if (tail_pos(t) <= h + 1) {
-          catchup(t, h + 1);
-          threshold_.spend();
-          return kEmpty;
-        }
-        if (!consumed_by_peer && threshold_.spend()) {
-          return kEmpty;
-        }
-      }
-    }
-    return kContended;
+    return dequeue<false>(out, max_iters);
   }
 
   // ---- segment finalization (Finalizable only) ----------------------
@@ -275,47 +207,19 @@ class ScqRingT {
     return (tail_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
   }
 
-  // Post-close sweep. Burns head tickets past every position a
-  // pre-close enqueue ticket could still install at, bypassing the
-  // threshold (which may be spent while such installs are in flight).
-  // kOk hands out a surviving value; kEmpty is a *sterility*
-  // certificate: head has met tail, every pre-close ticket's position
-  // was consumed or poisoned, and no install can land here anymore —
-  // the ring may be retired. Callers loop on kOk.
+  // Post-close sweep: the dequeue loop with the threshold bypassed (it
+  // may be spent while pre-close installs are in flight), burning head
+  // tickets past every position such an install could still land at.
+  // Advancing or poisoning an entry is what stops a pre-close ticket's
+  // install: its CAS can no longer succeed. kOk hands out a surviving
+  // value; kEmpty is a *sterility* certificate: head has met tail,
+  // every pre-close ticket's position was consumed or poisoned, and no
+  // install can land here anymore — the ring may be retired. Callers
+  // loop on kOk.
   Result drain_idx(std::uint64_t* out)
     requires(Finalizable)
   {
-    for (;;) {
-      const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
-      const std::uint64_t hcycle = geo_.cycle_of_pos(h);
-      const std::uint64_t j = remap_.map(h);
-      for (;;) {
-        const std::uint64_t e =
-            entries_[j].word.load(std::memory_order_acquire);
-        const std::uint64_t ecycle = geo_.cycle_of_entry(e);
-        if (ecycle == hcycle && geo_.idx_of_entry(e) != geo_.bot()) {
-          if (!consume(j, e)) continue;
-          *out = geo_.idx_of_entry(e);
-          return kOk;
-        }
-        if (ecycle < hcycle) {
-          // Advance-or-poison, exactly as a dequeuer would: once the
-          // cycle moves past a pre-close ticket's target (or the safe
-          // bit drops), its install CAS can no longer succeed.
-          const std::uint64_t fresh =
-              geo_.idx_of_entry(e) == geo_.bot()
-                  ? geo_.pack(hcycle, geo_.is_safe(e), geo_.bot())
-                  : geo_.pack(ecycle, false, geo_.idx_of_entry(e));
-          if (!word_cas(j, e, fresh)) continue;
-        }
-        break;
-      }
-      const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
-      if (tail_pos(t) <= h + 1) {
-        catchup(t, h + 1);
-        return kEmpty;
-      }
-    }
+    return dequeue<true>(out, kUnbounded);
   }
 
   // ---- cooperative slow path (Noted only) ---------------------------
@@ -328,7 +232,7 @@ class ScqRingT {
     requires(Noted);
 
  private:
-  using Entry = std::conditional_t<Noted, ring::NotedEntry, ring::PlainEntry>;
+  using Snap = typename Entry::Snap;
 
   static constexpr unsigned kLineBits =
       detail::log2_pow2(detail::kCacheLine / sizeof(Entry));
@@ -346,42 +250,90 @@ class ScqRingT {
     }
   }
 
-  // Word-only CAS. In the noted ring every plain word mutation expects
-  // note == 0, which is what freezes a claimed entry.
-  bool word_cas(std::uint64_t j, std::uint64_t expected,
-                std::uint64_t desired) {
-    if constexpr (Noted) {
-      return pair_cas(j, {expected, 0}, {desired, 0});
-    } else {
-      std::uint64_t e = expected;
-      return entries_[j].word.compare_exchange_strong(
-          e, desired, std::memory_order_acq_rel, std::memory_order_acquire);
+  // The one dequeue loop. Drain (the post-close sweep) skips every
+  // threshold step: the fast empty exit and both spends.
+  template <bool Drain>
+  Result dequeue(std::uint64_t* out, std::uint64_t max_iters) {
+    if (!Drain && threshold_.spent()) {
+      return kEmpty;  // the paper's fast empty exit (Figure 11a)
     }
+    for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
+      const std::uint64_t h = head_.fetch_add(1, std::memory_order_seq_cst);
+      const std::uint64_t hcycle = geo_.cycle_of_pos(h);
+      const std::uint64_t j = remap_.map(h);
+      bool consumed_by_peer = false;
+      for (;;) {
+        const Snap e = entries_[j].load();
+        const std::uint64_t ecycle = Entry::cycle(geo_, e);
+        if (ecycle == hcycle && !Entry::is_bot(geo_, e)) {
+          if (!entries_[j].consume(geo_, e, portable_)) {
+            // Noted: claimed by a slow-path request sharing this
+            // position. Help it through; the value goes to the request
+            // and the re-read will see a consumed entry (our ticket is
+            // spent).
+            help_parked(j);
+            continue;
+          }
+          *out = Entry::index(geo_, e);
+          return kOk;
+        }
+        if (ecycle < hcycle) {
+          // Either advance an empty entry's cycle or mark a lagging
+          // value unsafe so a slow enqueuer cannot resurrect it.
+          const Snap fresh =
+              Entry::is_bot(geo_, e)
+                  ? Entry::pack(geo_, hcycle, Entry::safe(geo_, e),
+                                Entry::index(geo_, e))
+                  : Entry::pack(geo_, ecycle, false, Entry::index(geo_, e));
+          if (!word_cas(j, e, fresh)) {
+            help_parked(j);
+            continue;
+          }
+        }
+        // ecycle == hcycle with BOT and ecycle > hcycle both land
+        // here. A cleared safe bit at exactly our cycle is the slow
+        // path's consume marker: our ticket's value went to a request
+        // (which never held a head ticket for it), so the position
+        // *did* yield a value and must not be accounted as failed —
+        // in SCQ a value-yielding ticket never decrements threshold.
+        if constexpr (Noted) {
+          consumed_by_peer = ecycle == hcycle && Entry::is_bot(geo_, e) &&
+                             !Entry::safe(geo_, e);
+        }
+        break;
+      }
+      const std::uint64_t t = tail_.load(std::memory_order_seq_cst);
+      if (tail_pos(t) <= h + 1) {
+        catchup(t, h + 1);
+        if (!Drain) threshold_.spend();
+        return kEmpty;
+      }
+      if (!Drain && !consumed_by_peer && threshold_.spend()) {
+        return kEmpty;
+      }
+    }
+    return kContended;
+  }
+
+  // The entry CAS. In the noted ring every plain word mutation expects
+  // note == 0, which is what freezes a claimed entry.
+  bool word_cas(std::uint64_t j, Snap expected, Snap desired) {
+    return entries_[j].cas(expected, desired, portable_);
   }
 
   bool pair_cas(std::uint64_t j, detail::Pair expected, detail::Pair desired)
     requires(Noted)
   {
-    return ring::pair_cas(&entries_[j], expected, desired, portable_consume_);
+    return ring::pair_cas(&entries_[j], expected, desired, portable_);
   }
 
-  // Mark the entry consumed (index -> BOT) keeping cycle and safe bit.
-  // Returns false when the entry moved (noted ring: possibly because a
-  // note is parked on it) — the caller re-evaluates.
-  bool consume(std::uint64_t j, std::uint64_t seen) {
+  // After a failed entry CAS: a parked note freezes a noted entry's
+  // word, so resolve it before the caller retries. Nothing to do for
+  // other entries.
+  void help_parked(std::uint64_t j) {
     if constexpr (Noted) {
-      return word_cas(j, seen, seen | geo_.bot());
-    } else if (!portable_consume_) {
-      entries_[j].word.fetch_or(geo_.bot(), std::memory_order_acq_rel);
-      return true;
-    } else {
-      // Portable build: single-width CAS loop (LL/SC-emulation shape).
-      std::uint64_t e = seen;
-      while (!entries_[j].word.compare_exchange_weak(
-          e, e | geo_.bot(), std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-      }
-      return true;
+      const std::uint64_t n = entries_[j].note.load(std::memory_order_acquire);
+      if (n != 0) help_note(j, n);
     }
   }
 
@@ -434,7 +386,7 @@ class ScqRingT {
 
   const ring::Geometry geo_;
   const ring::Remap remap_;
-  const bool portable_consume_;
+  const bool portable_;
   RingRequest* const reqs_;
   const bool is_fq_;
 
@@ -444,9 +396,11 @@ class ScqRingT {
   alignas(detail::kNoFalseSharing) Entry* entries_ = nullptr;
 };
 
-using ScqRing = ScqRingT<false>;
-using WcqRing = ScqRingT<true>;
+using ScqRing = ScqRingT<ring::PlainEntry>;
+using WcqRing = ScqRingT<ring::NotedEntry>;
 // LSCQ's segment value ring: plain SCQ plus close()/drain_idx().
-using FinalScqRing = ScqRingT<false, true>;
+using FinalScqRing = ScqRingT<ring::PlainEntry, true>;
+// CCQ's ring: SCQ's state machine over CAS2 {meta, idx} pairs.
+using CcqRing = ScqRingT<ring::SplitEntry>;
 
 }  // namespace wcq

@@ -34,8 +34,8 @@
 ///
 /// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
 /// backends with a native burst — FaaQueue claims a run of tickets
-/// with a single FAA — one ticket acquisition) over up to
-/// `options::batch_limit` values per chunk. Values are encoded
+/// with a single FAA — one ticket acquisition) over chunks of up to
+/// `kBatchChunk` (64) values staged on the stack. Values are encoded
 /// through `slot_codec<T>`, so boxed payloads batch exactly like
 /// inline ones.
 ///
@@ -45,8 +45,8 @@
 /// split as `order - log2(shards)` per shard, so one options value
 /// sizes sharded and unsharded queues identically. The constructor
 /// throws `std::invalid_argument` when the split leaves a shard under
-/// two slots, when `shards` is not a power of two, or when
-/// `batch_limit` is zero (refuse, never silently clamp).
+/// two slots or when `shards` is not a power of two (refuse, never
+/// silently clamp).
 #pragma once
 
 #include <algorithm>
@@ -80,16 +80,15 @@ class sharded {
   using backend_type = Backend;
   using codec = slot_codec<T>;
 
+  /// Slot scratch per batch chunk (stack-allocated, 512 B).
+  static constexpr std::size_t kBatchChunk = 64;
+
   class handle;
 
   explicit sharded(const options& opt = options{})
       : nshards_(resolve_shards(opt.shards())),
         mask_(nshards_ - 1),
-        policy_(opt.shard_policy()),
-        batch_limit_(opt.batch_limit()) {
-    if (batch_limit_ == 0) {
-      throw std::invalid_argument("sharded: batch_limit must be >= 1");
-    }
+        policy_(opt.shard_policy()) {
     unsigned shard_bits = 0;
     while ((1u << shard_bits) < nshards_) ++shard_bits;
     if (opt.order() <= shard_bits) {
@@ -141,7 +140,6 @@ class sharded {
     handle(handle&& o) noexcept
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
-          scratch_(o.scratch_),
           push_cur_(o.push_cur_),
           pop_cur_(o.pop_cur_) {}
 
@@ -150,7 +148,6 @@ class sharded {
         release();
         q_ = std::exchange(o.q_, nullptr);
         subs_ = o.subs_;
-        scratch_ = o.scratch_;
         push_cur_ = o.push_cur_;
         pop_cur_ = o.pop_cur_;
       }
@@ -166,22 +163,19 @@ class sharded {
     friend class sharded;
     using BackendHandle = typename Backend::Handle;
 
-    handle(sharded* q, BackendHandle* subs, std::uint64_t* scratch,
-           unsigned id)
-        : q_(q), subs_(subs), scratch_(scratch), push_cur_(id), pop_cur_(id) {}
+    handle(sharded* q, BackendHandle* subs, unsigned id)
+        : q_(q), subs_(subs), push_cur_(id), pop_cur_(id) {}
 
     void release() {
       if (q_ != nullptr) {
         for (unsigned s = q_->nshards_; s-- > 0;) subs_[s].~BackendHandle();
         mem::free(subs_, q_->nshards_ * sizeof(BackendHandle));
-        mem::free(scratch_, q_->batch_limit_ * sizeof(std::uint64_t));
         q_ = nullptr;
       }
     }
 
     sharded* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
-    std::uint64_t* scratch_ = nullptr;  // batch_limit slots
     // round_robin cursor / sticky home, one per direction. Masked at
     // use; push and pop start aligned for single-handle FIFO.
     unsigned push_cur_ = 0;
@@ -203,9 +197,7 @@ class sharded {
       mem::free(subs, nshards_ * sizeof(BH));
       return std::nullopt;
     }
-    auto* scratch = static_cast<std::uint64_t*>(
-        mem::alloc(batch_limit_ * sizeof(std::uint64_t)));
-    return handle(this, subs, scratch,
+    return handle(this, subs,
                   next_handle_.fetch_add(1, std::memory_order_relaxed));
   }
 
@@ -237,20 +229,20 @@ class sharded {
   }
 
   /// Batch enqueue: vs[0..n) in order, one shard selection per
-  /// batch_limit-sized chunk (plus the backend's native ticket burst
+  /// kBatchChunk-sized chunk (plus the backend's native ticket burst
   /// where it has one). Returns the accepted count; stops early when
   /// no shard will take the next value (all full, or a reserved
   /// sentinel pattern — the refused value stays with the caller).
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
     while (pushed < n) {
-      const std::size_t chunk =
-          std::min<std::size_t>(batch_limit_, n - pushed);
+      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
       for (std::size_t i = 0; i < chunk; ++i) {
-        h.scratch_[i] = codec::encode(vs[pushed + i]);
+        slots[i] = codec::encode(vs[pushed + i]);
       }
-      const std::size_t ok = push_slots(h.scratch_, chunk, h);
-      for (std::size_t i = ok; i < chunk; ++i) codec::drop(h.scratch_[i]);
+      const std::size_t ok = push_slots(slots, chunk, h);
+      for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
       pushed += ok;
       if (ok < chunk) break;
     }
@@ -261,12 +253,13 @@ class sharded {
   /// (zero iff every shard is empty). Values from one shard arrive in
   /// that shard's FIFO order; chunks may interleave shards.
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
     while (got < n) {
-      const std::size_t chunk = std::min<std::size_t>(batch_limit_, n - got);
-      const std::size_t ok = pop_slots(h.scratch_, chunk, h);
+      const std::size_t chunk = std::min(n - got, kBatchChunk);
+      const std::size_t ok = pop_slots(slots, chunk, h);
       for (std::size_t i = 0; i < ok; ++i) {
-        out[got + i] = codec::decode(h.scratch_[i]);
+        out[got + i] = codec::decode(slots[i]);
       }
       got += ok;
       if (ok < chunk) break;
@@ -456,7 +449,6 @@ class sharded {
   const unsigned nshards_;
   const unsigned mask_;
   const shard_policy policy_;
-  const unsigned batch_limit_;
   Backend* shards_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
 };

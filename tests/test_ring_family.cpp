@@ -1,8 +1,8 @@
-// Differential fuzzing across the SCQ ring family. All five queues —
-// SCQ, NCQ, CCQ, LSCQ and wCQ — now sit on the same layered ring
-// kernel (ring_math / ring_entry / ring_policy, plus ring_noted for
-// wCQ), so they must be observationally identical FIFO queues; only
-// their progress guarantees and boundedness differ. Three checks:
+// Differential fuzzing across the SCQ ring family. SCQ, CCQ, LSCQ and
+// wCQ sit on the same ring kernel (scq_ring.hpp over one entry codec
+// each, plus ring_noted for wCQ); NCQ shares only its Geometry and
+// Remap. All five must be observationally identical FIFO queues; only
+// their progress guarantees and boundedness differ. Four checks:
 //
 //  1. Serial differential vs a std::deque model on a randomized op
 //     tape with fill/drain regime waves: every push accept/refuse and
@@ -18,6 +18,8 @@
 //     mix over one queue; accounting must be exact (every accepted
 //     push popped exactly once, nothing invented) and each popping
 //     thread must see every pusher's values in monotone order.
+//  4. LSCQ's segment contract, serially: close-and-sweep returns the
+//     survivors in order, then certifies the ring sterile.
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -27,6 +29,8 @@
 
 #include "queue_test_common.hpp"
 #include "wcq/queue.hpp"
+#include "wcq/scq_ring.hpp"
+#include "wcq/two_ring.hpp"
 #include "wcq/wcq.hpp"
 
 namespace {
@@ -236,6 +240,33 @@ void fuzz_concurrent(const char* name, unsigned order) {
               (unsigned long long)value_space);
 }
 
+// ---- 4. the finalizable segment contract ----
+
+// LSCQ's segment is the two-ring queue over a finalizable fq.
+// pop_last() closes fq and sweeps what pre-close pushes left there, in
+// push order; false certifies the ring sterile, and a closed ring
+// refuses every later push.
+void test_segment_contract() {
+  TwoRingQueue<ScqRing, FinalScqRing> seg(options{}.order(3));
+  for (std::uint64_t v = 1; v <= 5; ++v) {
+    WCQ_CHECK(seg.push(v), "segment: push %llu refused", (unsigned long long)v);
+  }
+  std::uint64_t v = 0;
+  WCQ_CHECK(seg.pop(&v) && v == 1, "segment: pop gave %llu, want 1",
+            (unsigned long long)v);
+  for (std::uint64_t want = 2; want <= 5; ++want) {
+    v = 0;
+    WCQ_CHECK(seg.pop_last(&v) && v == want, "segment: swept %llu, want %llu",
+              (unsigned long long)v, (unsigned long long)want);
+  }
+  WCQ_CHECK(!seg.pop_last(&v), "segment: pop_last past the sweep gave %llu",
+            (unsigned long long)v);
+  WCQ_CHECK(!seg.push(6), "segment: closed ring accepted a push");
+  WCQ_CHECK(!seg.pop(&v), "segment: closed ring popped %llu",
+            (unsigned long long)v);
+  std::printf("  ok segment_contract  lscq (4 of 5 swept after close)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -261,6 +292,7 @@ int main(int argc, char** argv) {
   if (test::selected(argc, argv, "lscq")) {
     diff_model<harness::LscqAdapter>("lscq", 4, false, ops);
     fuzz_concurrent<harness::LscqAdapter>("lscq", 4);
+    test_segment_contract();
   }
   if (argc < 2 || test::selected(argc, argv, "family")) {
     test_tape_agreement();

@@ -175,17 +175,17 @@ void test_sticky_rebalance() {
   std::printf("  ok sharded_rebalance sticky full/empty\n");
 }
 
-// Batch edges: zero-size spans, spans above batch_limit (chunking),
+// Batch edges: zero-size spans, spans above kBatchChunk (chunking),
 // partial acceptance at capacity, and partial pops at drain.
 void test_batch_edges() {
-  sharded<std::uint64_t> q(options{}.order(8).shards(4).batch_limit(16));
+  sharded<std::uint64_t> q(options{}.order(8).shards(4));
   auto h = q.get_handle();
 
   std::uint64_t none = 0;
   WCQ_CHECK(q.try_push_n(&none, 0, h) == 0, "zero-size push_n");
   WCQ_CHECK(q.try_pop_n(&none, 0, h) == 0, "zero-size pop_n");
 
-  // 200 values through batch_limit=16 chunks.
+  // 200 values through 64-value chunks.
   std::vector<std::uint64_t> in(200), out(200);
   for (std::uint64_t i = 0; i < 200; ++i) in[i] = i;
   WCQ_CHECK(q.try_push_n(in.data(), 200, h) == 200, "chunked push_n");
@@ -218,18 +218,20 @@ void test_batch_edges() {
 // through slot_codec's heap box, refused boxes are dropped (ASan
 // leak-checks this binary), and teardown drains live boxes.
 void test_batch_boxed() {
-  sharded<std::string> q(options{}.order(8).shards(2).batch_limit(8));
+  // 100 values: past one 64-value chunk, so boxes cross a boundary.
+  constexpr int kSpan = 100;
+  sharded<std::string> q(options{}.order(8).shards(2));
   auto h = q.get_handle();
-  std::vector<std::string> in, out(64);
-  for (int i = 0; i < 64; ++i) in.push_back("value-" + std::to_string(i));
-  WCQ_CHECK(q.try_push_n(in.data(), in.size(), h) == 64, "boxed push_n");
+  std::vector<std::string> in, out(kSpan);
+  for (int i = 0; i < kSpan; ++i) in.push_back("value-" + std::to_string(i));
+  WCQ_CHECK(q.try_push_n(in.data(), in.size(), h) == kSpan, "boxed push_n");
   std::size_t got = 0;
-  while (got < 64) {
-    const std::size_t k = q.try_pop_n(out.data() + got, 64 - got, h);
+  while (got < kSpan) {
+    const std::size_t k = q.try_pop_n(out.data() + got, kSpan - got, h);
     WCQ_CHECK(k > 0, "boxed pop_n stalled");
     got += k;
   }
-  std::vector<bool> seen(64, false);
+  std::vector<bool> seen(kSpan, false);
   for (const auto& s : out) {
     WCQ_CHECK(s.rfind("value-", 0) == 0, "boxed payload corrupted: %s",
               s.c_str());
@@ -249,7 +251,7 @@ void test_batch_boxed() {
 // inline value colliding with them must be refused — mid-batch — with
 // everything before it accepted and nothing after it lost.
 void test_batch_sentinel_refusal() {
-  sharded<std::uint64_t, FaaQueue> q(options{}.shards(2).batch_limit(8));
+  sharded<std::uint64_t, FaaQueue> q(options{}.shards(2));
   auto h = q.get_handle();
   std::uint64_t vs[5] = {1, 2, ~std::uint64_t{0}, 4, 5};
   WCQ_CHECK(q.try_push_n(vs, 5, h) == 2,
@@ -279,11 +281,6 @@ void test_validation_throws() {
   WCQ_CHECK(
       throws([] { sharded<std::uint64_t> q(options{}.shards(8).order(3)); }),
       "order <= log2(shards) must throw");
-  WCQ_CHECK(
-      throws([] {
-        sharded<std::uint64_t> q(options{}.shards(2).batch_limit(0));
-      }),
-      "batch_limit 0 must throw");
   // The boundary cases that must NOT throw.
   sharded<std::uint64_t> ok1(options{}.shards(1).order(1));
   sharded<std::uint64_t> ok2(options{}.shards(4).order(3));
