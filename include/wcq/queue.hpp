@@ -13,9 +13,10 @@
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
 /// the backend (a ThreadRec slot for wCQ, a registry slot with its
-/// SMR state for FAA, MSQ, LSCQ and LCRQ, nothing for SCQ/NCQ/CCQ)
-/// and destruction recycles the registration, so max_threads bounds
-/// concurrent participants rather than lifetime thread count.
+/// SMR state for FAA, MSQ, LSCQ and LCRQ, nothing for SCQ/NCQ/CCQ,
+/// one of those per shard for ShardedQueue) and destruction recycles
+/// the registration, so max_threads bounds concurrent participants
+/// rather than lifetime thread count.
 ///
 /// Caveat: a backend may reserve slot bit patterns for its own
 /// protocol (FaaQueue reserves the top two as EMPTY/TAKEN sentinels,
@@ -104,6 +105,39 @@ struct slot_codec<T, false> {
   }
 };
 
+namespace detail {
+
+/// Pushes slots[0..n) into b in order, stopping at the first refusal;
+/// returns how many were accepted. Uses the backend's native burst
+/// where it has one, else a loop with the same semantics.
+template <typename B>
+std::size_t push_n(B& b, const std::uint64_t* slots, std::size_t n,
+                   typename B::Handle& h) {
+  if constexpr (requires { b.try_push_n(slots, n, h); }) {
+    return b.try_push_n(slots, n, h);
+  } else {
+    std::size_t ok = 0;
+    while (ok < n && b.try_push(slots[ok], h)) ++ok;
+    return ok;
+  }
+}
+
+/// Pops up to n slots from b into slots[0..); returns how many
+/// arrived (zero iff b is empty). Native burst or loop, as push_n.
+template <typename B>
+std::size_t pop_n(B& b, std::uint64_t* slots, std::size_t n,
+                  typename B::Handle& h) {
+  if constexpr (requires { b.try_pop_n(slots, n, h); }) {
+    return b.try_pop_n(slots, n, h);
+  } else {
+    std::size_t ok = 0;
+    while (ok < n && b.try_pop(&slots[ok], h)) ++ok;
+    return ok;
+  }
+}
+
+}  // namespace detail
+
 /// The typed MPMC queue facade over any concepts::Backend.
 ///
 /// Move-only, options-constructible, used through per-thread RAII
@@ -121,7 +155,7 @@ class queue {
   using backend_type = Backend;
   using codec = slot_codec<T>;
 
-  /// Slot scratch per batch round-trip (stack-allocated, 2 KiB).
+  /// Slots staged per batch chunk (stack-allocated, 2 KiB).
   static constexpr std::size_t kBatchChunk = 256;
 
   /// RAII thread registration; move-only. One per participating
@@ -186,65 +220,40 @@ class queue {
 
   /// Batch enqueue: pushes vs[0..n) in order, stopping at the first
   /// refusal (queue full, or a backend-reserved sentinel pattern);
-  /// returns how many were accepted. On backends with a native batch
-  /// op (FaaQueue's single-FAA ticket burst) a whole chunk costs one
-  /// ticket acquisition; elsewhere this is a plain loop — same
-  /// semantics, no amortization. Boxed payloads work: each value is
-  /// encoded through slot_codec and a refused value's box is dropped.
+  /// returns how many were accepted. Values are encoded kBatchChunk at
+  /// a time and handed to detail::push_n, so a backend with a native
+  /// burst (FaaQueue's single-FAA ticket run, ShardedQueue's one shard
+  /// pick) pays once per chunk. A refused value's box is dropped.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;
-    if constexpr (requires(std::uint64_t* s) {
-                    { backend_.try_push_n(s, n, h.h_) }
-                      -> std::same_as<std::size_t>;
-                  }) {
-      std::uint64_t slots[kBatchChunk];
-      while (pushed < n) {
-        const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-        for (std::size_t i = 0; i < chunk; ++i) {
-          slots[i] = codec::encode(vs[pushed + i]);
-        }
-        const std::size_t ok = backend_.try_push_n(slots, chunk, h.h_);
-        for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
-        pushed += ok;
-        if (ok < chunk) break;
+    while (pushed < n) {
+      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
+      for (std::size_t i = 0; i < chunk; ++i) {
+        slots[i] = codec::encode(vs[pushed + i]);
       }
-    } else {
-      for (; pushed < n; ++pushed) {
-        const std::uint64_t slot = codec::encode(vs[pushed]);
-        if (!backend_.try_push(slot, h.h_)) {
-          codec::drop(slot);
-          break;
-        }
-      }
+      const std::size_t ok = detail::push_n(backend_, slots, chunk, h.h_);
+      for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
+      pushed += ok;
+      if (ok < chunk) break;
     }
     return pushed;
   }
 
   /// Batch dequeue into out[0..n): returns how many values arrived
-  /// (zero iff the queue is empty), in queue order. Backends with a
-  /// native burst claim the whole run of tickets with one FAA.
+  /// (zero iff the queue is empty), in queue order, kBatchChunk at a
+  /// time through detail::pop_n.
   std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
+    std::uint64_t slots[kBatchChunk];
     std::size_t got = 0;
-    if constexpr (requires(std::uint64_t* s) {
-                    { backend_.try_pop_n(s, n, h.h_) }
-                      -> std::same_as<std::size_t>;
-                  }) {
-      std::uint64_t slots[kBatchChunk];
-      while (got < n) {
-        const std::size_t chunk = std::min(n - got, kBatchChunk);
-        const std::size_t ok = backend_.try_pop_n(slots, chunk, h.h_);
-        for (std::size_t i = 0; i < ok; ++i) {
-          out[got + i] = codec::decode(slots[i]);
-        }
-        got += ok;
-        if (ok < chunk) break;
+    while (got < n) {
+      const std::size_t chunk = std::min(n - got, kBatchChunk);
+      const std::size_t ok = detail::pop_n(backend_, slots, chunk, h.h_);
+      for (std::size_t i = 0; i < ok; ++i) {
+        out[got + i] = codec::decode(slots[i]);
       }
-    } else {
-      for (; got < n; ++got) {
-        std::uint64_t slot = 0;
-        if (!backend_.try_pop(&slot, h.h_)) break;
-        out[got] = codec::decode(slot);
-      }
+      got += ok;
+      if (ok < chunk) break;
     }
     return got;
   }

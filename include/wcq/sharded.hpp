@@ -3,11 +3,14 @@
 ///
 /// One FAA-ticketed ring is the contention wall at high core counts:
 /// every operation, from every core, meets at the same head/tail
-/// cache lines. This layer puts an array of independent backend
-/// instances (shards) behind the exact same `concepts::Queue` surface
-/// the rest of the repo programs against, so it drops into every
-/// test, bench, and adapter unchanged — the scaling decision becomes
-/// a configuration knob (`options::shards`), not an API fork.
+/// cache lines. `ShardedQueue<Backend>` puts an array of independent
+/// backend instances (shards) behind the slot-level
+/// `concepts::Backend` surface, and `wcq::sharded<T, Backend>` is just
+/// the typed facade over it (`queue<T, ShardedQueue<Backend>>`), so
+/// the codec, boxed teardown and batch chunking are the facade's own
+/// and it drops into every test, bench, and adapter unchanged — the
+/// scaling decision becomes a configuration knob (`options::shards`),
+/// not an API fork.
 ///
 /// ## Ordering contract (read this before depending on FIFO)
 ///
@@ -32,12 +35,12 @@
 ///
 /// ## Batch API
 ///
-/// `try_push_n`/`try_pop_n` amortize one shard selection (and, on
-/// backends with a native burst — FaaQueue claims a run of tickets
-/// with a single FAA — one ticket acquisition) over chunks of up to
-/// `kBatchChunk` (64) values staged on the stack. Values are encoded
-/// through `slot_codec<T>`, so boxed payloads batch exactly like
-/// inline ones.
+/// `ShardedQueue::try_push_n`/`try_pop_n` are its native burst: one
+/// shard selection per run of slots, handed to that shard through
+/// `detail::push_n`/`pop_n` (and so, on backends with a native burst —
+/// FaaQueue claims a run of tickets with a single FAA — one ticket
+/// acquisition). The facade calls them once per `queue::kBatchChunk`
+/// (256) values, so boxed payloads batch exactly like inline ones.
 ///
 /// ## Capacity
 ///
@@ -49,7 +52,6 @@
 /// silently clamp).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -67,25 +69,20 @@
 
 namespace wcq {
 
-/// Sharded queue-of-queues over any concepts::Backend. Satisfies
-/// concepts::Queue, so the whole harness accepts it as a lineup entry.
-template <typename T, typename Backend = WcqQueue>
-class sharded {
+/// Shards over any concepts::Backend, itself a concepts::Backend over
+/// 64-bit slots. It defines no stats(): one op that scans k shards
+/// makes k backend attempts, so summed shard counters would not be
+/// comparable with a plain queue's.
+template <typename Backend = WcqQueue>
+class ShardedQueue {
   static_assert(concepts::Backend<Backend>,
                 "Backend must satisfy wcq::concepts::Backend "
                 "(options ctor + Handle + try_push/try_pop over slots)");
 
  public:
-  using value_type = T;
-  using backend_type = Backend;
-  using codec = slot_codec<T>;
+  class Handle;
 
-  /// Slot scratch per batch chunk (stack-allocated, 512 B).
-  static constexpr std::size_t kBatchChunk = 64;
-
-  class handle;
-
-  explicit sharded(const options& opt = options{})
+  explicit ShardedQueue(const options& opt)
       : nshards_(resolve_shards(opt.shards())),
         mask_(nshards_ - 1),
         policy_(opt.shard_policy()) {
@@ -111,39 +108,28 @@ class sharded {
     }
   }
 
-  ~sharded() {
-    // Boxed values still parked in any shard own heap memory; reclaim
-    // them before the shards tear down their rings.
-    if constexpr (codec::kBoxed) {
-      for (unsigned s = 0; s < nshards_; ++s) {
-        auto h = shards_[s].try_get_handle();
-        if (h) {
-          std::uint64_t slot = 0;
-          while (shards_[s].try_pop(&slot, *h)) codec::drop(slot);
-        }
-      }
-    }
+  ~ShardedQueue() {
     for (unsigned s = 0; s < nshards_; ++s) shards_[s].~Backend();
     mem::free(shards_, nshards_ * sizeof(Backend));
   }
 
-  sharded(const sharded&) = delete;
-  sharded& operator=(const sharded&) = delete;
+  ShardedQueue(const ShardedQueue&) = delete;
+  ShardedQueue& operator=(const ShardedQueue&) = delete;
 
   /// RAII registration with EVERY shard (one backend handle each), so
   /// an op can land anywhere without a registration on its hot path.
   /// Move-only; must not outlive the sharded queue.
-  class handle {
+  class Handle {
    public:
-    handle() = delete;
+    Handle() = delete;
 
-    handle(handle&& o) noexcept
+    Handle(Handle&& o) noexcept
         : q_(std::exchange(o.q_, nullptr)),
           subs_(o.subs_),
           push_cur_(o.push_cur_),
           pop_cur_(o.pop_cur_) {}
 
-    handle& operator=(handle&& o) noexcept {
+    Handle& operator=(Handle&& o) noexcept {
       if (this != &o) {
         release();
         q_ = std::exchange(o.q_, nullptr);
@@ -154,16 +140,16 @@ class sharded {
       return *this;
     }
 
-    handle(const handle&) = delete;
-    handle& operator=(const handle&) = delete;
+    Handle(const Handle&) = delete;
+    Handle& operator=(const Handle&) = delete;
 
-    ~handle() { release(); }
+    ~Handle() { release(); }
 
    private:
-    friend class sharded;
+    friend class ShardedQueue;
     using BackendHandle = typename Backend::Handle;
 
-    handle(sharded* q, BackendHandle* subs, unsigned id)
+    Handle(ShardedQueue* q, BackendHandle* subs, unsigned id)
         : q_(q), subs_(subs), push_cur_(id), pop_cur_(id) {}
 
     void release() {
@@ -174,7 +160,7 @@ class sharded {
       }
     }
 
-    sharded* q_ = nullptr;
+    ShardedQueue* q_ = nullptr;
     BackendHandle* subs_ = nullptr;
     // round_robin cursor / sticky home, one per direction. Masked at
     // use; push and pop start aligned for single-handle FIFO.
@@ -183,7 +169,7 @@ class sharded {
   };
 
   /// nullopt iff some shard has all max_threads handle slots live.
-  std::optional<handle> try_get_handle() {
+  std::optional<Handle> try_get_handle() {
     using BH = typename Backend::Handle;
     BH* subs = static_cast<BH*>(mem::alloc(nshards_ * sizeof(BH)));
     unsigned made = 0;
@@ -197,12 +183,12 @@ class sharded {
       mem::free(subs, nshards_ * sizeof(BH));
       return std::nullopt;
     }
-    return handle(this, subs,
+    return Handle(this, subs,
                   next_handle_.fetch_add(1, std::memory_order_relaxed));
   }
 
   /// Throwing flavor for call sites where exhaustion is a logic error.
-  handle get_handle() {
+  Handle get_handle() {
     auto h = try_get_handle();
     if (!h) {
       throw std::runtime_error(
@@ -213,112 +199,54 @@ class sharded {
   }
 
   /// False iff no shard accepts (all full, or the backend reserves
-  /// the value's bit pattern — see queue.hpp's sentinel caveat).
-  bool try_push(T v, handle& h) {
-    const std::uint64_t slot = codec::encode(std::move(v));
-    if (push_slot(slot, h)) return true;
-    codec::drop(slot);
-    return false;
+  /// the slot's bit pattern — see queue.hpp's sentinel caveat).
+  bool try_push(std::uint64_t slot, Handle& h) {
+    return scan(h.push_cur_, [&](unsigned s) {
+      return shards_[s].try_push(slot, h.subs_[s]);
+    });
   }
 
-  /// nullopt iff every shard reports empty.
-  std::optional<T> try_pop(handle& h) {
-    std::uint64_t slot = 0;
-    if (!pop_slot(&slot, h)) return std::nullopt;
-    return codec::decode(slot);
+  /// False iff every shard reports empty.
+  bool try_pop(std::uint64_t* slot, Handle& h) {
+    return scan(h.pop_cur_, [&](unsigned s) {
+      return shards_[s].try_pop(slot, h.subs_[s]);
+    });
   }
 
-  /// Batch enqueue: vs[0..n) in order, one shard selection per
-  /// kBatchChunk-sized chunk (plus the backend's native ticket burst
-  /// where it has one). Returns the accepted count; stops early when
-  /// no shard will take the next value (all full, or a reserved
-  /// sentinel pattern — the refused value stays with the caller).
-  std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
-    std::uint64_t slots[kBatchChunk];
-    std::size_t pushed = 0;
-    while (pushed < n) {
-      const std::size_t chunk = std::min(n - pushed, kBatchChunk);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        slots[i] = codec::encode(vs[pushed + i]);
-      }
-      const std::size_t ok = push_slots(slots, chunk, h);
-      for (std::size_t i = ok; i < chunk; ++i) codec::drop(slots[i]);
-      pushed += ok;
-      if (ok < chunk) break;
+  /// Batch push of slots[0..n) in order: one shard pick per run; when
+  /// the picked shard refuses mid-run, the refused slot is routed
+  /// through the scanning try_push (which also rebalances sticky
+  /// homes), and the remainder re-picks. Stops only on a global
+  /// refusal; returns the accepted count.
+  std::size_t try_push_n(const std::uint64_t* slots, std::size_t n, Handle& h) {
+    std::size_t done = 0;
+    while (done < n) {
+      const unsigned s = pick_shard(h.push_cur_);
+      done += detail::push_n(shards_[s], slots + done, n - done, h.subs_[s]);
+      if (done == n || !try_push(slots[done], h)) break;
+      ++done;
     }
-    return pushed;
+    return done;
   }
 
-  /// Batch dequeue into out[0..n): returns how many values arrived
-  /// (zero iff every shard is empty). Values from one shard arrive in
-  /// that shard's FIFO order; chunks may interleave shards.
-  std::size_t try_pop_n(T* out, std::size_t n, handle& h) {
-    std::uint64_t slots[kBatchChunk];
-    std::size_t got = 0;
-    while (got < n) {
-      const std::size_t chunk = std::min(n - got, kBatchChunk);
-      const std::size_t ok = pop_slots(slots, chunk, h);
-      for (std::size_t i = 0; i < ok; ++i) {
-        out[got + i] = codec::decode(slots[i]);
-      }
-      got += ok;
-      if (ok < chunk) break;
+  /// Batch pop into slots[0..n): zero iff every shard is empty. Slots
+  /// from one shard arrive in that shard's FIFO order; runs may
+  /// interleave shards.
+  std::size_t try_pop_n(std::uint64_t* slots, std::size_t n, Handle& h) {
+    std::size_t done = 0;
+    while (done < n) {
+      const unsigned s = pick_shard(h.pop_cur_);
+      done += detail::pop_n(shards_[s], slots + done, n - done, h.subs_[s]);
+      if (done == n || !try_pop(&slots[done], h)) break;
+      ++done;
     }
-    return got;
+    return done;
   }
 
   unsigned shard_count() const { return nshards_; }
 
   /// Direct access to one shard (tests and benches; not a stable API).
   Backend& shard(unsigned s) { return shards_[s]; }
-
-  /// Total capacity (bounded backends): the sum over shards, which by
-  /// construction is 2^order.
-  auto capacity() const
-    requires requires(const Backend& b) { b.capacity(); }
-  {
-    decltype(shards_[0].capacity()) total = 0;
-    for (unsigned s = 0; s < nshards_; ++s) total += shards_[s].capacity();
-    return total;
-  }
-
-  /// Backend op counters summed over shards (observable backends).
-  /// Named backend_stats, not stats: these count *backend* attempts —
-  /// one sharded op that scans k shards performs k backend ops — so
-  /// they are deliberately not drop-in comparable with a plain
-  /// queue's stats().
-  auto backend_stats() const
-    requires requires(const Backend& b) {
-      { b.stats().fast_enqueues } -> std::convertible_to<std::uint64_t>;
-    }
-  {
-    auto total = shards_[0].stats();
-    for (unsigned s = 1; s < nshards_; ++s) {
-      const auto st = shards_[s].stats();
-      total.fast_enqueues += st.fast_enqueues;
-      total.slow_enqueues += st.slow_enqueues;
-      total.fast_dequeues += st.fast_dequeues;
-      total.slow_dequeues += st.slow_dequeues;
-      total.helps += st.helps;
-    }
-    return total;
-  }
-
-  /// SMR retire/scan counters summed over shards (reclaiming
-  /// backends).
-  auto smr_stats() const
-    requires requires(const Backend& b) { b.smr_stats(); }
-  {
-    auto total = shards_[0].smr_stats();
-    for (unsigned s = 1; s < nshards_; ++s) {
-      const auto st = shards_[s].smr_stats();
-      total.retired_nodes += st.retired_nodes;
-      total.reclaimed_nodes += st.reclaimed_nodes;
-      total.retire_calls += st.retire_calls;
-      total.scans += st.scans;
-    }
-    return total;
-  }
 
  private:
   // 0 = auto: a power of two derived from the machine — one shard per
@@ -365,85 +293,11 @@ class sharded {
     return false;
   }
 
-  bool push_slot(std::uint64_t slot, handle& h) {
-    return scan(h.push_cur_, [&](unsigned s) {
-      return shards_[s].try_push(slot, h.subs_[s]);
-    });
-  }
-
-  bool pop_slot(std::uint64_t* slot, handle& h) {
-    return scan(h.pop_cur_, [&](unsigned s) {
-      return shards_[s].try_pop(slot, h.subs_[s]);
-    });
-  }
-
-  // The shard a batch chunk should target, advancing picker state
-  // once per CHUNK (that is the amortization): rr steps its cursor,
-  // sticky stays home.
+  // The shard a batch run should target, advancing picker state once
+  // per RUN (that is the amortization): rr steps its cursor, sticky
+  // stays home.
   unsigned pick_shard(unsigned& cur) {
     return (policy_ == shard_policy::sticky ? cur : cur++) & mask_;
-  }
-
-  // Push a run of encoded slots into shard s; native backend burst
-  // when it exists, else a loop (same semantics, no ticket
-  // amortization). Returns slots accepted.
-  std::size_t shard_push_n(unsigned s, const std::uint64_t* slots,
-                           std::size_t n, handle& h) {
-    std::size_t ok = 0;
-    if constexpr (requires {
-                    {
-                      shards_[s].try_push_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      ok = shards_[s].try_push_n(slots, n, h.subs_[s]);
-    } else {
-      while (ok < n && shards_[s].try_push(slots[ok], h.subs_[s])) ++ok;
-    }
-    return ok;
-  }
-
-  std::size_t shard_pop_n(unsigned s, std::uint64_t* slots, std::size_t n,
-                          handle& h) {
-    std::size_t ok = 0;
-    if constexpr (requires {
-                    {
-                      shards_[s].try_pop_n(slots, n, h.subs_[s])
-                    } -> std::same_as<std::size_t>;
-                  }) {
-      ok = shards_[s].try_pop_n(slots, n, h.subs_[s]);
-    } else {
-      while (ok < n && shards_[s].try_pop(&slots[ok], h.subs_[s])) ++ok;
-    }
-    return ok;
-  }
-
-  // Slot-level batch push: one shard pick per chunk; when the picked
-  // shard refuses mid-chunk, the refused slot is routed through the
-  // scanning single-slot path (which also rebalances sticky homes),
-  // and the remainder re-picks. Stops only on a global refusal.
-  std::size_t push_slots(const std::uint64_t* slots, std::size_t n,
-                         handle& h) {
-    std::size_t done = 0;
-    while (done < n) {
-      const unsigned s = pick_shard(h.push_cur_);
-      done += shard_push_n(s, slots + done, n - done, h);
-      if (done == n) break;
-      if (!push_slot(slots[done], h)) break;
-      ++done;
-    }
-    return done;
-  }
-
-  std::size_t pop_slots(std::uint64_t* slots, std::size_t n, handle& h) {
-    std::size_t done = 0;
-    while (done < n) {
-      const unsigned s = pick_shard(h.pop_cur_);
-      done += shard_pop_n(s, slots + done, n - done, h);
-      if (done == n) break;
-      if (!pop_slot(&slots[done], h)) break;
-      ++done;
-    }
-    return done;
   }
 
   const unsigned nshards_;
@@ -452,5 +306,11 @@ class sharded {
   Backend* shards_ = nullptr;
   std::atomic<unsigned> next_handle_{0};
 };
+
+/// The typed sharded queue: the one facade over ShardedQueue.
+/// Satisfies concepts::Queue, so the whole harness accepts it as a
+/// lineup entry.
+template <typename T, typename Backend = WcqQueue>
+using sharded = queue<T, ShardedQueue<Backend>>;
 
 }  // namespace wcq

@@ -106,6 +106,8 @@ static_assert(concepts::Queue<ShardedFaaAdapter>);
 // facade; the wCQ entries must stay observable.
 static_assert(concepts::ObservableQueue<WcqAdapter>);
 static_assert(concepts::ObservableQueue<WcqPortableAdapter>);
+// Not sharded: one op scanning k shards makes k backend attempts.
+static_assert(!concepts::ObservableQueue<ShardedWcqAdapter>);
 
 // The dynamic-memory backends reclaim through the shared SMR layer;
 // the memory bench and SMR tests read its counters through the facade.

@@ -6,6 +6,7 @@
 // (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
 // file covers what those generic checks cannot see.
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -21,6 +22,9 @@
 namespace {
 
 using namespace wcq;
+
+// perfbench names the sharded subject with one template argument.
+static_assert(concepts::Queue<sharded<std::uint64_t>>);
 
 constexpr shard_policy kAllPolicies[] = {
     shard_policy::round_robin,
@@ -117,11 +121,12 @@ void test_per_shard_fifo_sticky() {
   // holds everything in push order.
   push_all();
   unsigned loaded = 0;
-  for (unsigned s = 0; s < q.shard_count(); ++s) {
-    auto bh = q.shard(s).get_handle();
+  for (unsigned s = 0; s < q.backend().shard_count(); ++s) {
+    auto& shard = q.backend().shard(s);
+    auto bh = shard.get_handle();
     std::uint64_t v = 0;
     std::uint64_t got = 0;
-    while (q.shard(s).try_pop(&v, bh)) {
+    while (shard.try_pop(&v, bh)) {
       WCQ_CHECK(v == got, "sticky shard %u out of order at %llu: got %llu",
                 s, (unsigned long long)got, (unsigned long long)v);
       ++got;
@@ -155,12 +160,12 @@ void test_sticky_rebalance() {
   // it straight back: a shard that yields one was reached.
   unsigned non_empty = 0;
   for (unsigned s = 0; s < 4; ++s) {
-    auto bh = q.shard(s).get_handle();
+    auto& shard = q.backend().shard(s);
+    auto bh = shard.get_handle();
     std::uint64_t v = 0;
-    if (q.shard(s).try_pop(&v, bh)) {
+    if (shard.try_pop(&v, bh)) {
       ++non_empty;
-      WCQ_CHECK(q.shard(s).try_push(v, bh), "shard %u refused its own value",
-                s);
+      WCQ_CHECK(shard.try_push(v, bh), "shard %u refused its own value", s);
     }
   }
   WCQ_CHECK(non_empty == 4, "rebalance-on-full reached %u of 4 shards",
@@ -175,75 +180,91 @@ void test_sticky_rebalance() {
   std::printf("  ok sharded_rebalance sticky full/empty\n");
 }
 
-// Batch edges: zero-size spans, spans above kBatchChunk (chunking),
-// partial acceptance at capacity, and partial pops at drain.
+// Batch edges: zero-size spans, spans above queue::kBatchChunk
+// (chunking), partial acceptance at capacity, and partial pops at
+// drain.
 void test_batch_edges() {
-  sharded<std::uint64_t> q(options{}.order(8).shards(4));
+  constexpr std::size_t kSpan = 300;  // crosses one 256-value chunk
+  constexpr std::size_t kCap = 1024;  // 4 shards x 256 slots
+  constexpr std::size_t kFlood = 1100;
+  sharded<std::uint64_t> q(options{}.order(10).shards(4));
   auto h = q.get_handle();
 
   std::uint64_t none = 0;
   WCQ_CHECK(q.try_push_n(&none, 0, h) == 0, "zero-size push_n");
   WCQ_CHECK(q.try_pop_n(&none, 0, h) == 0, "zero-size pop_n");
 
-  // 200 values through 64-value chunks.
-  std::vector<std::uint64_t> in(200), out(200);
-  for (std::uint64_t i = 0; i < 200; ++i) in[i] = i;
-  WCQ_CHECK(q.try_push_n(in.data(), 200, h) == 200, "chunked push_n");
+  std::vector<std::uint64_t> in(kSpan), out(kSpan);
+  for (std::uint64_t i = 0; i < kSpan; ++i) in[i] = i;
+  WCQ_CHECK(q.try_push_n(in.data(), kSpan, h) == kSpan, "chunked push_n");
   std::size_t got = 0;
-  while (got < 200) {
-    const std::size_t k = q.try_pop_n(out.data() + got, 200 - got, h);
-    WCQ_CHECK(k > 0, "pop_n stalled at %zu of 200", got);
+  while (got < kSpan) {
+    const std::size_t k = q.try_pop_n(out.data() + got, kSpan - got, h);
+    WCQ_CHECK(k > 0, "pop_n stalled at %zu of %zu", got, kSpan);
     got += k;
   }
-  std::vector<bool> seen(200, false);
+  std::vector<bool> seen(kSpan, false);
   for (std::uint64_t v : out) {
-    WCQ_CHECK(v < 200 && !seen[v], "batch lost/duplicated %llu",
+    WCQ_CHECK(v < kSpan && !seen[v], "batch lost/duplicated %llu",
               (unsigned long long)v);
     seen[v] = true;
   }
-  WCQ_CHECK(q.try_pop_n(out.data(), 200, h) == 0, "drained pop_n not 0");
+  WCQ_CHECK(q.try_pop_n(out.data(), kSpan, h) == 0, "drained pop_n not 0");
 
-  // Partial acceptance: capacity 256, offer 300 — exactly 256 land.
-  std::vector<std::uint64_t> big(300, 7);
-  WCQ_CHECK(q.try_push_n(big.data(), 300, h) == 256,
+  // Partial acceptance: offer more than capacity — exactly kCap land.
+  std::vector<std::uint64_t> big(kFlood, 7);
+  WCQ_CHECK(q.try_push_n(big.data(), kFlood, h) == kCap,
             "partial push_n at capacity");
   WCQ_CHECK(q.try_push(1, h) == false, "queue should be full");
   got = 0;
-  while (got < 256) got += q.try_pop_n(out.data(), 200, h);
-  WCQ_CHECK(got == 256, "partial drain got %zu", got);
+  while (got < kCap) {
+    const std::size_t k = q.try_pop_n(out.data(), kSpan, h);
+    WCQ_CHECK(k > 0, "partial drain stalled at %zu", got);
+    got += k;
+  }
+  WCQ_CHECK(got == kCap, "partial drain got %zu", got);
   std::printf("  ok sharded_batch     edges (zero/chunk/partial)\n");
 }
 
 // Boxed payloads batch exactly like inline ones: every value goes
-// through slot_codec's heap box, refused boxes are dropped (ASan
-// leak-checks this binary), and teardown drains live boxes.
+// through slot_codec's heap box, refused boxes are dropped, and
+// teardown drains live boxes (live_bytes returns to baseline).
 void test_batch_boxed() {
-  // 100 values: past one 64-value chunk, so boxes cross a boundary.
-  constexpr int kSpan = 100;
-  sharded<std::string> q(options{}.order(8).shards(2));
-  auto h = q.get_handle();
-  std::vector<std::string> in, out(kSpan);
-  for (int i = 0; i < kSpan; ++i) in.push_back("value-" + std::to_string(i));
-  WCQ_CHECK(q.try_push_n(in.data(), in.size(), h) == kSpan, "boxed push_n");
-  std::size_t got = 0;
-  while (got < kSpan) {
-    const std::size_t k = q.try_pop_n(out.data() + got, kSpan - got, h);
-    WCQ_CHECK(k > 0, "boxed pop_n stalled");
-    got += k;
+  // Past one 256-value chunk, so boxes cross a boundary.
+  constexpr std::size_t kSpan = 300;
+  constexpr std::size_t kCap = 1024;  // 2 shards x 512 slots
+  const std::uint64_t live_before = mem::stats().live_bytes;
+  {
+    sharded<std::string> q(options{}.order(10).shards(2));
+    auto h = q.get_handle();
+    std::vector<std::string> in, out(kSpan);
+    for (std::size_t i = 0; i < kSpan; ++i) {
+      in.push_back("value-" + std::to_string(i));
+    }
+    WCQ_CHECK(q.try_push_n(in.data(), in.size(), h) == kSpan, "boxed push_n");
+    std::size_t got = 0;
+    while (got < kSpan) {
+      const std::size_t k = q.try_pop_n(out.data() + got, kSpan - got, h);
+      WCQ_CHECK(k > 0, "boxed pop_n stalled");
+      got += k;
+    }
+    std::vector<bool> seen(kSpan, false);
+    for (const auto& s : out) {
+      WCQ_CHECK(s.rfind("value-", 0) == 0, "boxed payload corrupted: %s",
+                s.c_str());
+      const int i = std::atoi(s.c_str() + 6);
+      WCQ_CHECK(!seen[i], "boxed duplicate %d", i);
+      seen[i] = true;
+    }
+    // Overfill past capacity; refused boxes must not leak.
+    std::vector<std::string> flood(kCap + kSpan, std::string("flood"));
+    const std::size_t ok = q.try_push_n(flood.data(), flood.size(), h);
+    WCQ_CHECK(ok == kCap, "boxed overfill accepted %zu", ok);
+    // Leave the queue non-empty: the destructor must drop live boxes.
   }
-  std::vector<bool> seen(kSpan, false);
-  for (const auto& s : out) {
-    WCQ_CHECK(s.rfind("value-", 0) == 0, "boxed payload corrupted: %s",
-              s.c_str());
-    const int i = std::atoi(s.c_str() + 6);
-    WCQ_CHECK(!seen[i], "boxed duplicate %d", i);
-    seen[i] = true;
-  }
-  // Overfill: capacity 256 total; refused boxes must not leak.
-  std::vector<std::string> flood(300, std::string("flood"));
-  const std::size_t ok = q.try_push_n(flood.data(), flood.size(), h);
-  WCQ_CHECK(ok == 256, "boxed overfill accepted %zu", ok);
-  // Leave the queue non-empty: the destructor must drop live boxes.
+  WCQ_CHECK(mem::stats().live_bytes == live_before,
+            "boxed sharded queue leaked %llu bytes",
+            (unsigned long long)(mem::stats().live_bytes - live_before));
   std::printf("  ok sharded_boxed     batch over slot_codec boxes\n");
 }
 
@@ -348,7 +369,7 @@ void test_topology_helper() {
             "recommended_shards %u not a power of two", rec);
   // The recommendation must construct (order 16 default leaves room).
   sharded<std::uint64_t> q(options{}.shards(rec));
-  WCQ_CHECK(q.shard_count() == rec, "shard_count mismatch");
+  WCQ_CHECK(q.backend().shard_count() == rec, "shard_count mismatch");
   (void)topo::shard_cpu(0, 0);  // must not crash on any machine
   std::printf("  ok sharded_topology  %u cpus / %zu clusters -> %u shards\n",
               t.cpus, t.clusters.size(), rec);

@@ -1,8 +1,10 @@
 // Typed wcq::queue<T> facade coverage: inline slot_codec for small
 // trivially copyable T (must be bit-exact and allocation-free), the
 // boxed pointer-indirection codec for anything larger (no leaks on
-// failed pushes or on teardown with values still queued), and the
-// concept surface working over a non-default backend.
+// failed pushes or on teardown with values still queued), the
+// concept surface working over a non-default backend, and the batch
+// API over backends with and without a native burst.
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -157,6 +159,53 @@ void test_non_default_backend() {
   std::printf("  ok typed_scq_backend\n");
 }
 
+// Batch API over plain (unsharded) backends: wCQ has no native burst
+// (the loop branch), FAA does (one ticket run per chunk). 300 values
+// cross the 256-value chunk; a boxed batch into a full queue drops
+// every refused box.
+void test_batch_api() {
+  constexpr std::size_t kSpan = 300;
+  std::uint64_t in[kSpan], out[kSpan];
+  for (std::uint64_t i = 0; i < kSpan; ++i) in[i] = i;
+  const auto roundtrip = [&](auto& q, const char* name) {
+    auto h = q.get_handle();
+    WCQ_CHECK(q.try_push_n(in, kSpan, h) == kSpan, "%s: push_n", name);
+    WCQ_CHECK(q.try_pop_n(out, kSpan, h) == kSpan, "%s: pop_n", name);
+    for (std::uint64_t i = 0; i < kSpan; ++i) {
+      WCQ_CHECK(out[i] == i, "%s: batch FIFO broken at %llu", name,
+                (unsigned long long)i);
+    }
+    WCQ_CHECK(q.try_pop_n(out, kSpan, h) == 0, "%s: empty pop_n", name);
+  };
+  queue<std::uint64_t> wq(options{}.order(9));
+  roundtrip(wq, "wcq");
+  queue<std::uint64_t, FaaQueue> fq(options{});
+  roundtrip(fq, "faa");
+
+  const std::uint64_t live_before = mem::stats().live_bytes;
+  {
+    queue<BigPod> q(options{}.order(2).max_threads(2));  // capacity 4
+    auto h = q.get_handle();
+    const std::uint64_t live_empty = mem::stats().live_bytes;
+    BigPod vs[10];
+    for (std::uint64_t i = 0; i < 10; ++i) vs[i] = BigPod{i, i};
+    WCQ_CHECK(q.try_push_n(vs, 10, h) == 4, "boxed push_n past capacity");
+    WCQ_CHECK(mem::stats().live_bytes == live_empty + 4 * sizeof(BigPod),
+              "boxed push_n left %llu bytes live, want 4 boxes",
+              (unsigned long long)(mem::stats().live_bytes - live_empty));
+    BigPod got[10];
+    WCQ_CHECK(q.try_pop_n(got, 10, h) == 4, "boxed pop_n");
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      WCQ_CHECK(got[i].a == i && got[i].b == i, "boxed batch %llu corrupted",
+                (unsigned long long)i);
+    }
+  }
+  WCQ_CHECK(mem::stats().live_bytes == live_before,
+            "boxed batch leaked %llu bytes",
+            (unsigned long long)(mem::stats().live_bytes - live_before));
+  std::printf("  ok typed_batch\n");
+}
+
 }  // namespace
 
 int main() {
@@ -166,5 +215,6 @@ int main() {
   test_boxed_teardown_drains();
   test_faa_reserved_values_refused();
   test_non_default_backend();
+  test_batch_api();
   return 0;
 }
