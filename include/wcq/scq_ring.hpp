@@ -149,6 +149,19 @@ class ScqRingT {
     return tail_pos(tail_.load(std::memory_order_seq_cst));
   }
 
+  // Read-only empty probe: no RMW, no store. True when the threshold
+  // is spent or Head has caught up with Tail — the two exits a
+  // dequeue would take. Head is loaded first and both only grow, so a
+  // true answer held at the instant of the Tail load. It can miss a
+  // value whose install has not yet moved Tail (a wCQ slow-path
+  // commit bumps Tail after installing), exactly as the dequeue's own
+  // `tail <= h + 1` check does.
+  bool looks_empty() const {
+    if (threshold_.spent()) return true;
+    const std::uint64_t h = head_.load(std::memory_order_acquire);
+    return h >= tail_pos(tail_.load(std::memory_order_acquire));
+  }
+
   // Enqueue an index in [0, capacity). As long as at most `capacity`
   // indices are live the ring always has room, so the only non-kOk
   // outcome is kContended when `max_iters` attempts are spent (or

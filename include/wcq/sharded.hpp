@@ -33,6 +33,29 @@
 ///    threads <= shards — rebalancing only when the home refuses:
 ///    push moves home on full, pop moves home on empty.
 ///
+/// ## Empty scan
+///
+/// A pop makes one real `try_pop` on the cursor's shard. Only when
+/// that finds the shard empty does it walk the other shards, and
+/// there it pops only a shard whose backend probe (`looks_empty()`:
+/// wCQ's read-only threshold and Head/Tail check) does not say empty.
+/// Backends without a probe (all but the wCQ ones) are popped as
+/// before. A fully failed scan thus costs one empty pop plus k-1
+/// probes instead of k empty pops (each an FAA on Head, an entry CAS,
+/// a catchup CAS on Tail and a threshold spend). The cursor's shard
+/// gets its real pop without a probe in front, because loading its
+/// Head and Tail just before the FAA adds a coherence miss to every
+/// successful pop.
+///
+/// Cross-shard emptiness was already relaxed (a value pushed into a
+/// shard the scan has passed is missed), and the probe keeps it so:
+/// on a quiescent queue a probe that says empty means the shard's pop
+/// would say so too, so no value is hidden. The probe can miss a
+/// value in the short window where a wCQ slow-path commit has
+/// installed it but not yet moved Tail, a window in which the shard's
+/// own pop reports empty as well. `shards(1)` only ever makes the
+/// real pop, so it stays exact.
+///
 /// ## Batch API
 ///
 /// `ShardedQueue::try_push_n`/`try_pop_n` are its native burst: one
@@ -68,6 +91,22 @@
 #include "wcq/wcq.hpp"
 
 namespace wcq {
+
+namespace detail {
+
+/// The backend's read-only empty probe where it has one; false (go
+/// and pop) for backends without one, so their scan is a plain loop
+/// of pops.
+template <typename B>
+bool looks_empty(const B& b) {
+  if constexpr (requires { b.looks_empty(); }) {
+    return b.looks_empty();
+  } else {
+    return false;
+  }
+}
+
+}  // namespace detail
 
 /// Shards over any concepts::Backend, itself a concepts::Backend over
 /// 64-bit slots. It defines no stats(): one op that scans k shards
@@ -206,10 +245,15 @@ class ShardedQueue {
     });
   }
 
-  /// False iff every shard reports empty.
+  /// A real pop on the cursor's shard; if that finds it empty, a real
+  /// pop on each other shard whose probe does not say empty. False
+  /// when the cursor's pop and every other shard's probe or pop found
+  /// nothing (see "Empty scan").
   bool try_pop(std::uint64_t* slot, Handle& h) {
+    const unsigned first = h.pop_cur_ & mask_;
     return scan(h.pop_cur_, [&](unsigned s) {
-      return shards_[s].try_pop(slot, h.subs_[s]);
+      return (s == first || !detail::looks_empty(shards_[s])) &&
+             shards_[s].try_pop(slot, h.subs_[s]);
     });
   }
 
@@ -229,9 +273,10 @@ class ShardedQueue {
     return done;
   }
 
-  /// Batch pop into slots[0..n): zero iff every shard is empty. Slots
-  /// from one shard arrive in that shard's FIFO order; runs may
-  /// interleave shards.
+  /// Batch pop into slots[0..n): zero when the picked shard gives
+  /// nothing and the scanning try_pop finds nothing either. Slots from
+  /// one shard arrive in that shard's FIFO order; runs may interleave
+  /// shards.
   std::size_t try_pop_n(std::uint64_t* slots, std::size_t n, Handle& h) {
     std::size_t done = 0;
     while (done < n) {

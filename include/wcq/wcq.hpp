@@ -182,6 +182,12 @@ class WcqQueueT {
     return slow_pop(rec, v);
   }
 
+  // Read-only hint that try_pop would find the queue empty (the value
+  // ring's probe, see ScqRingT::looks_empty). For callers choosing
+  // among queues, such as ShardedQueue's scan; wCQ's own paths never
+  // use it.
+  bool looks_empty() const { return fq_.looks_empty(); }
+
   WcqStats stats() const {
     WcqStats s;
     // Counters survive slot recycling (they are per-slot accumulators,

@@ -20,6 +20,9 @@
 //     thread must see every pusher's values in monotone order.
 //  4. LSCQ's segment contract, serially: close-and-sweep returns the
 //     survivors in order, then certifies the ring sterile.
+//  5. The kernel's read-only empty probe (SCQ and wCQ rings): exact
+//     against the live count serially, and never "empty" before a
+//     dequeue that finds a value once a concurrent mix has joined.
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -267,6 +270,143 @@ void test_segment_contract() {
   std::printf("  ok segment_contract  lscq (4 of 5 swept after close)\n");
 }
 
+// ---- 5. the read-only empty probe ----
+
+// looks_empty() on a bare index ring. Serially it must equal "live
+// count == 0" after every op, over fill/drain waves that wrap an
+// order-3 ring's cycle counter many times and runs of empty dequeues
+// long enough to spend the threshold (3n-1 = 23). Concurrently,
+// threads pass a fixed set of tokens through the ring; after each
+// join the ring is drained, and a probe that says empty must be
+// followed by a dequeue that says kEmpty. Every token must come back
+// exactly once per round.
+template <typename Ring>
+void test_probe(const char* name) {
+  constexpr unsigned kOrder = 3;
+  constexpr std::uint64_t kCap = std::uint64_t{1} << kOrder;
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kTokens = kCap / kThreads;
+  std::vector<RingRequest> reqs(kThreads + 1);  // noted rings need them
+  Ring ring(kOrder, /*remap=*/true, /*portable=*/false, reqs.data(),
+            /*is_fq=*/true);
+
+  std::deque<std::uint64_t> live;
+  std::vector<std::uint64_t> free_idx;
+  for (std::uint64_t i = 0; i < kCap; ++i) free_idx.push_back(i);
+  Rng rng{0x9b0be5ull};
+  std::uint64_t op = 0;
+  const auto check = [&] {
+    ++op;
+    WCQ_CHECK(ring.looks_empty() == live.empty(),
+              "%s: op %llu probe says %s with %zu live", name,
+              (unsigned long long)op,
+              ring.looks_empty() ? "empty" : "non-empty", live.size());
+  };
+  check();
+  const std::uint64_t waves = test::env_ops(3000) / 4;
+  for (std::uint64_t w = 0; w < waves; ++w) {
+    const std::uint64_t fill = rng.next() % (free_idx.size() + 1);
+    for (std::uint64_t i = 0; i < fill; ++i) {
+      const std::uint64_t idx = free_idx.back();
+      free_idx.pop_back();
+      WCQ_CHECK(ring.enqueue_idx(idx, Ring::kUnbounded) == Ring::kOk,
+                "%s: enqueue refused", name);
+      live.push_back(idx);
+      check();
+    }
+    // Every 8th wave makes at least 32 empty dequeues: past the 24
+    // that spend the threshold.
+    const std::uint64_t extra = w % 8 == 7 ? 40 : rng.next() % 3;
+    const std::uint64_t drain = rng.next() % (live.size() + 1) + extra;
+    for (std::uint64_t i = 0; i < drain; ++i) {
+      std::uint64_t idx = 0;
+      const auto rc = ring.dequeue_idx(&idx, Ring::kUnbounded);
+      if (live.empty()) {
+        WCQ_CHECK(rc == Ring::kEmpty, "%s: dequeue on empty gave %d", name,
+                  (int)rc);
+      } else {
+        WCQ_CHECK(rc == Ring::kOk && idx == live.front(),
+                  "%s: dequeue gave rc %d idx %llu, want %llu", name, (int)rc,
+                  (unsigned long long)idx,
+                  (unsigned long long)live.front());
+        live.pop_front();
+        free_idx.push_back(idx);
+      }
+      check();
+    }
+  }
+  while (!live.empty()) {
+    std::uint64_t idx = 0;
+    WCQ_CHECK(ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk &&
+                  idx == live.front(),
+              "%s: serial drain diverged", name);
+    live.pop_front();
+    check();
+  }
+
+  const std::uint64_t rounds = 40;
+  const std::uint64_t per_thread = test::env_ops(4000);
+  std::uint64_t left_in_ring = 0;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    std::vector<std::vector<std::uint64_t>> held(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) {
+      for (std::uint64_t k = 0; k < kTokens; ++k) {
+        held[t].push_back(t * kTokens + k);
+      }
+    }
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng trng{0xabcdef + r * kThreads + t};
+        auto& mine = held[t];
+        for (std::uint64_t i = 0; i < per_thread; ++i) {
+          if (!mine.empty() && trng.next() % 2 == 0) {
+            WCQ_CHECK(ring.enqueue_idx(mine.back(), Ring::kUnbounded) ==
+                          Ring::kOk,
+                      "%s: concurrent enqueue refused", name);
+            mine.pop_back();
+          } else {
+            std::uint64_t idx = 0;
+            if (ring.dequeue_idx(&idx, Ring::kUnbounded) == Ring::kOk) {
+              mine.push_back(idx);
+            }
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    std::vector<unsigned> count(kCap, 0);
+    for (const auto& mine : held) {
+      for (std::uint64_t idx : mine) ++count[idx];
+    }
+    for (;;) {
+      const bool probe = ring.looks_empty();
+      std::uint64_t idx = 0;
+      const auto rc = ring.dequeue_idx(&idx, Ring::kUnbounded);
+      WCQ_CHECK(!probe || rc == Ring::kEmpty,
+                "%s: round %llu probe said empty, dequeue gave %llu", name,
+                (unsigned long long)r, (unsigned long long)idx);
+      if (rc != Ring::kOk) break;
+      WCQ_CHECK(idx < kCap, "%s: invented index %llu", name,
+                (unsigned long long)idx);
+      ++count[idx];
+      ++left_in_ring;
+    }
+    WCQ_CHECK(ring.looks_empty(), "%s: drained ring probes non-empty", name);
+    for (std::uint64_t idx = 0; idx < kCap; ++idx) {
+      WCQ_CHECK(count[idx] == 1, "%s: round %llu token %llu seen %u times",
+                name, (unsigned long long)r, (unsigned long long)idx,
+                count[idx]);
+    }
+  }
+  std::printf(
+      "  ok probe             %s (%llu serial ops; %llu rounds left %llu "
+      "tokens in the ring)\n",
+      name, (unsigned long long)op, (unsigned long long)rounds,
+      (unsigned long long)left_in_ring);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,6 +416,7 @@ int main(int argc, char** argv) {
   if (test::selected(argc, argv, "scq")) {
     diff_model<harness::ScqAdapter>("scq", 4, true, ops);
     fuzz_concurrent<harness::ScqAdapter>("scq", 6);
+    test_probe<ScqRing>("scq");
   }
   if (test::selected(argc, argv, "ncq")) {
     diff_model<harness::NcqAdapter>("ncq", 4, true, ops);
@@ -288,6 +429,7 @@ int main(int argc, char** argv) {
   if (test::selected(argc, argv, "wcq")) {
     diff_model<harness::WcqAdapter>("wcq", 4, true, ops);
     fuzz_concurrent<harness::WcqAdapter>("wcq", 6);
+    test_probe<WcqRing>("wcq");
   }
   if (test::selected(argc, argv, "lscq")) {
     diff_model<harness::LscqAdapter>("lscq", 4, false, ops);

@@ -1,8 +1,9 @@
 // wcq::sharded correctness: the queue-of-queues layer's own contract
-// (per-shard FIFO, relaxed cross-shard order), every picker policy,
-// the batch API's edge cases (partial fills, zero spans, boxed
-// payloads, sentinel refusal, chunking), constructor validation, and
-// handle churn over recycled sub-handle rows. The shared battery
+// (per-shard FIFO, relaxed cross-shard order, an empty scan that never
+// hides a value from a quiescent queue), every picker policy, the
+// batch API's edge cases (partial fills, zero spans, boxed payloads,
+// sentinel refusal, chunking), constructor validation, and handle
+// churn over recycled sub-handle rows. The shared battery
 // (fifo/empty_full/mpmc/churn) also runs the sharded adapters; this
 // file covers what those generic checks cannot see.
 #include <atomic>
@@ -92,6 +93,100 @@ void test_mpmc_all_policies() {
                 policy_name(pol), (unsigned long long)v, seen[v].load());
     }
     std::printf("  ok sharded_mpmc      %s\n", policy_name(pol));
+  }
+}
+
+// The empty scan's probe must never hide a value from a quiescent
+// queue. One value at a time goes straight into one shard through
+// `backend().shard(s)` and must come back from the facade's try_pop.
+// Shards are visited in descending order, so after the first round
+// each value sits off the pop cursor under both pickers (round_robin
+// steps to s + 1, sticky stays on s). Between rounds, empty pops
+// spend every shard's threshold and a push/pop pass moves Head and
+// Tail. FaaQueue has no probe and runs the same check.
+template <typename Backend>
+void test_probe_never_hides(const char* backend) {
+  constexpr unsigned kShards = 4;
+  for (const auto pol : kAllPolicies) {
+    sharded<std::uint64_t, Backend> q(
+        options{}.order(8).shards(kShards).shard_policy(pol));
+    auto h = q.get_handle();
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      for (unsigned s = kShards; s-- > 0;) {
+        auto& shard = q.backend().shard(s);
+        auto bh = shard.get_handle();
+        const std::uint64_t v = round * kShards + s + 1;
+        WCQ_CHECK(shard.try_push(v, bh), "%s/%s: shard %u refused", backend,
+                  policy_name(pol), s);
+        const auto got = q.try_pop(h);
+        WCQ_CHECK(got && *got == v,
+                  "%s/%s: round %llu value in shard %u hidden (got %s)",
+                  backend, policy_name(pol), (unsigned long long)round, s,
+                  got ? "another value" : "empty");
+        WCQ_CHECK(!q.try_pop(h), "%s/%s: pop after the only value succeeded",
+                  backend, policy_name(pol));
+      }
+      for (unsigned i = 0; i < 200; ++i) (void)q.try_pop(h);
+      for (std::uint64_t i = 0; i < 50; ++i) {
+        WCQ_CHECK(q.try_push(1000 + i, h), "%s/%s: churn push refused",
+                  backend, policy_name(pol));
+      }
+      unsigned drained = 0;
+      while (q.try_pop(h)) ++drained;
+      WCQ_CHECK(drained == 50, "%s/%s: churn drained %u of 50", backend,
+                policy_name(pol), drained);
+    }
+  }
+  std::printf("  ok sharded_probe     %s off-cursor values found\n", backend);
+}
+
+// Poll-shaped MPMC: 4 threads each push 1 then pop 2 over 4 shards, so
+// about half the pops find the queue empty and walk the probe path
+// while peers push. After join, one handle's drain must account for
+// every value exactly once.
+void test_poll_mpmc() {
+  constexpr unsigned kThreads = 4;
+  const std::uint64_t per_thread = test::env_ops(8000);
+  const std::uint64_t total = per_thread * kThreads;
+  for (const auto pol : kAllPolicies) {
+    sharded<std::uint64_t> q(options{}
+                                 .order(10)
+                                 .shards(4)
+                                 .shard_policy(pol)
+                                 .max_threads(kThreads + 1));
+    std::vector<std::atomic<std::uint32_t>> seen(total);
+    for (auto& s : seen) s.store(0, std::memory_order_relaxed);
+    const auto take = [&](std::uint64_t v) {
+      WCQ_CHECK(v < total, "poll/%s: out-of-range %llu", policy_name(pol),
+                (unsigned long long)v);
+      seen[v].fetch_add(1, std::memory_order_relaxed);
+    };
+
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto h = q.get_handle();
+        for (std::uint64_t i = 0; i < per_thread; ++i) {
+          while (!q.try_push(t * per_thread + i, h)) {
+            std::this_thread::yield();
+          }
+          for (int k = 0; k < 2; ++k) {
+            if (const auto v = q.try_pop(h)) take(*v);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    {
+      auto h = q.get_handle();
+      while (const auto v = q.try_pop(h)) take(*v);
+    }
+    for (std::uint64_t v = 0; v < total; ++v) {
+      WCQ_CHECK(seen[v].load() == 1, "poll/%s: value %llu seen %u times",
+                policy_name(pol), (unsigned long long)v, seen[v].load());
+    }
+    std::printf("  ok sharded_poll      %s push 1 / pop 2\n",
+                policy_name(pol));
   }
 }
 
@@ -378,7 +473,12 @@ void test_topology_helper() {
 }  // namespace
 
 int main() {
+  // The probe checks run first: a probe that hides values would make
+  // the MPMC consumers below spin until the ctest timeout.
+  test_probe_never_hides<WcqQueue>("wcq");
+  test_probe_never_hides<FaaQueue>("faa");
   test_mpmc_all_policies();
+  test_poll_mpmc();
   test_per_shard_fifo_sticky();
   test_sticky_rebalance();
   test_batch_edges();
