@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "harness/queue_adapters.hpp"
 #include "wcq/concepts.hpp"
@@ -55,6 +56,26 @@ void BM_enqueue_burst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 
+// Construction plus 4 handle registrations at order state.range(0):
+// the setup a user pays before the first op (perfbench's setup_s, on
+// one thread and without its host noise). Teardown runs untimed.
+template <wcq::concepts::Queue Q>
+void BM_construct(benchmark::State& state) {
+  const auto opt = wcq::options{}.max_threads(8).order(
+      static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    auto q = std::make_unique<Q>(opt);
+    std::vector<decltype(q->get_handle())> handles;
+    handles.reserve(4);
+    for (int t = 0; t < 4; ++t) handles.push_back(q->get_handle());
+    benchmark::DoNotOptimize(q.get());
+    state.PauseTiming();
+    handles.clear();
+    q.reset();
+    state.ResumeTiming();
+  }
+}
+
 }  // namespace
 
 #define WCQ_MICRO(Adapter)                                      \
@@ -70,5 +91,12 @@ WCQ_MICRO(MsqAdapter);
 WCQ_MICRO(CcqAdapter);
 WCQ_MICRO(FaaAdapter);
 WCQ_MICRO(LscqAdapter);
+
+BENCHMARK_TEMPLATE(BM_construct, wcq::harness::WcqAdapter)->Arg(10)->Arg(16);
+BENCHMARK_TEMPLATE(BM_construct, wcq::harness::ScqAdapter)->Arg(10)->Arg(16);
+BENCHMARK_TEMPLATE(BM_construct, wcq::harness::LscqAdapter)->Arg(10)->Arg(16);
+BENCHMARK_TEMPLATE(BM_construct, wcq::harness::ShardedWcqAdapter)
+    ->Arg(10)
+    ->Arg(16);
 
 BENCHMARK_MAIN();

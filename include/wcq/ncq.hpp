@@ -65,6 +65,17 @@ class NcqRing {
 
   std::uint64_t capacity() const { return geo_.capacity(); }
 
+  // Start a fresh ring full, as ScqRingT::fill does: the state that
+  // enqueuing 0, 1, ..., capacity() - 1 would leave, as relaxed stores.
+  void fill() {
+    const std::uint64_t t0 = geo_.ring_size();
+    for (std::uint64_t i = 0; i < geo_.capacity(); ++i) {
+      entries_[remap_.map(t0 + i)].init_to(
+          geo_.pack(geo_.cycle_of_pos(t0 + i), true, i));
+    }
+    tail_.store(t0 + geo_.capacity(), std::memory_order_relaxed);
+  }
+
   // Install an index at Tail. No ticket is reserved up front: everyone
   // races a CAS on the entry at the *current* Tail position, and Tail
   // moves only after the install is visible.

@@ -19,6 +19,8 @@
 //   Snap                       what one load() sees: the packed word, or
 //                              the {meta, idx} pair
 //   init(g)                    store the empty entry of cycle 0
+//   init_to(s)                 store snapshot `s` relaxed (fresh rings
+//                              only: construction and ScqRingT::fill)
 //   load()                     acquire snapshot of the entry
 //   cycle/safe/index/is_bot    decode a snapshot
 //   pack(g, cycle, safe, idx)  encode one
@@ -83,9 +85,8 @@ struct PackedWord {
 struct PlainEntry : PackedWord {
   std::atomic<std::uint64_t> word;
 
-  void init(const Geometry& g) {
-    word.store(g.pack(0, true, g.bot()), std::memory_order_relaxed);
-  }
+  void init(const Geometry& g) { init_to(g.pack(0, true, g.bot())); }
+  void init_to(Snap s) { word.store(s, std::memory_order_relaxed); }
   Snap load() const { return word.load(std::memory_order_acquire); }
   bool cas(Snap expected, Snap desired, bool /*portable*/) {
     return word.compare_exchange_strong(expected, desired,
@@ -104,8 +105,9 @@ struct alignas(16) NotedEntry : PackedWord {
   std::atomic<std::uint64_t> word;
   std::atomic<std::uint64_t> note;
 
-  void init(const Geometry& g) {
-    word.store(g.pack(0, true, g.bot()), std::memory_order_relaxed);
+  void init(const Geometry& g) { init_to(g.pack(0, true, g.bot())); }
+  void init_to(Snap s) {
+    word.store(s, std::memory_order_relaxed);
     note.store(0, std::memory_order_relaxed);
   }
   Snap load() const { return word.load(std::memory_order_acquire); }
@@ -148,8 +150,8 @@ struct alignas(16) SplitEntry {
     return {(cycle << 1) | static_cast<std::uint64_t>(safe), idx};
   }
 
-  void init(const Geometry& g) {
-    const Snap s = pack(g, 0, true, kBot);
+  void init(const Geometry& g) { init_to(pack(g, 0, true, kBot)); }
+  void init_to(Snap s) {
     meta.store(s.meta, std::memory_order_relaxed);
     idx.store(s.idx, std::memory_order_relaxed);
   }

@@ -14,7 +14,10 @@
 // FAA'd position counters whose quotient by the ring size is the
 // entry's expected "cycle". The `threshold` counter gives dequeuers a
 // constant-time empty exit, and Cache_Remap spreads consecutive
-// positions across cache lines.
+// positions across cache lines. A ring starts empty; fill() starts it
+// full instead (a two-ring queue's free-index ring) by writing the
+// state n enqueues would leave — entries, Tail, armed threshold — as
+// plain stores, not n FAA + entry-CAS round trips.
 //
 // ScqRingT<Entry, Finalizable> touches entries only through the
 // Entry codec, so one state machine serves every entry layout (all
@@ -67,6 +70,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -143,6 +147,24 @@ class ScqRingT {
   ScqRingT& operator=(const ScqRingT&) = delete;
 
   std::uint64_t capacity() const { return geo_.capacity(); }
+
+  // Start a fresh ring full: write directly the state that enqueuing
+  // the indices 0, 1, ..., capacity() - 1 in order would leave — index
+  // i at position ring_size + i (cycle 1, safe), Tail at ring_size +
+  // capacity, Head untouched, threshold armed — with relaxed stores
+  // and no RMW. Fresh rings only, with no concurrent access: whatever
+  // publishes the queue to other threads orders these stores.
+  void fill() {
+    const std::uint64_t t0 = geo_.ring_size();
+    assert(head_.load(std::memory_order_relaxed) == t0 &&
+           tail_.load(std::memory_order_relaxed) == t0);
+    for (std::uint64_t i = 0; i < geo_.capacity(); ++i) {
+      entries_[remap_.map(t0 + i)].init_to(
+          Entry::pack(geo_, geo_.cycle_of_pos(t0 + i), true, i));
+    }
+    tail_.store(t0 + geo_.capacity(), std::memory_order_relaxed);
+    threshold_.arm();
+  }
 
   std::uint64_t head() const { return head_.load(std::memory_order_seq_cst); }
   std::uint64_t tail() const {

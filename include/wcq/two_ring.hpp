@@ -7,8 +7,9 @@
 // ScqQueue, NcqQueue and CcqQueue are this class over their ring;
 // an LSCQ segment is it over a plain aq and a finalizable fq
 // (wcq/lscq.hpp). Any ring with the kernel's index interface fits:
-// an (order, remap) constructor, enqueue_idx/dequeue_idx taking an
-// iteration budget (kUnbounded here), and kOk/kEmpty results.
+// an (order, remap) constructor, fill() to start aq full,
+// enqueue_idx/dequeue_idx taking an iteration budget (kUnbounded
+// here), and kOk/kEmpty results.
 #pragma once
 
 #include <atomic>
@@ -42,8 +43,8 @@ class TwoRingQueue {
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
       data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, AqRing::kUnbounded);
     }
+    aq_.fill();
   }
 
   ~TwoRingQueue() {
@@ -107,7 +108,7 @@ class TwoRingQueue {
   }
 
   const std::uint64_t n_;
-  AqRing aq_;  // free slots (starts full)
+  AqRing aq_;  // free slots (starts full: fill())
   FqRing fq_;  // filled slots (starts empty)
   std::atomic<std::uint64_t>* data_ = nullptr;
 };

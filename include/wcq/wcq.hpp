@@ -60,7 +60,9 @@ class WcqQueueT {
   // so order must be <= detail::kMaxNoteOrder (20) and max_threads <=
   // detail::kMaxNoteThreads (512); the constructor throws
   // std::invalid_argument beyond either. Zero patience, help_delay or
-  // max_threads is raised to 1.
+  // max_threads is raised to 1. The free-index ring aq starts full
+  // through WcqRing::fill(): plain stores, not one CAS2 enqueue per
+  // data slot.
   explicit WcqQueueT(const options& opt)
       : max_threads_(check_threads(opt.max_threads())),
         enqueue_patience_(at_least_one(opt.enqueue_patience())),
@@ -79,11 +81,14 @@ class WcqQueueT {
         mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
     for (std::uint64_t i = 0; i < n_; ++i) {
       data_[i].store(0, std::memory_order_relaxed);
-      aq_.enqueue_idx(i, WcqRing::kUnbounded);
     }
+    aq_.fill();
     recs_ = static_cast<ThreadRec*>(
         mem::alloc(max_threads_ * sizeof(ThreadRec)));
-    for (unsigned i = 0; i < max_threads_; ++i) new (&recs_[i]) ThreadRec();
+    for (unsigned i = 0; i < max_threads_; ++i) {
+      new (&recs_[i]) ThreadRec();
+      recs_[i].help_countdown = help_delay_;
+    }
   }
 
   ~WcqQueueT() {
@@ -136,24 +141,24 @@ class WcqQueueT {
     std::uint64_t idx = 0;
     const WcqRing::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
     if (rc == WcqRing::kEmpty) {
-      rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
+      count(rec->fast_enq);
       return false;  // full: definitive, no slow path needed
     }
     if (rc == WcqRing::kOk) {
       data_[idx].store(v, std::memory_order_relaxed);
       if (fq_.enqueue_idx(idx, enqueue_patience_) == WcqRing::kOk) {
-        rec->fast_enq.fetch_add(1, std::memory_order_relaxed);
+        count(rec->fast_enq);
         return true;
       }
       // We already own the free index; only the second stage needs the
       // cooperative path (a ring enqueue cannot fail, only contend).
-      rec->slow_enq.fetch_add(1, std::memory_order_relaxed);
+      count(rec->slow_enq);
       publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/false, idx);
       complete_ring_op(rec, nullptr);
       return true;
     }
 #endif
-    rec->slow_enq.fetch_add(1, std::memory_order_relaxed);
+    count(rec->slow_enq);
     return slow_push(rec, v);
   }
 
@@ -165,7 +170,7 @@ class WcqQueueT {
     std::uint64_t idx = 0;
     const WcqRing::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
     if (rc == WcqRing::kEmpty) {
-      rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
+      count(rec->fast_deq);
       return false;
     }
     if (rc == WcqRing::kOk) {
@@ -174,11 +179,11 @@ class WcqQueueT {
         publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
         complete_ring_op(rec, nullptr);
       }
-      rec->fast_deq.fetch_add(1, std::memory_order_relaxed);
+      count(rec->fast_deq);
       return true;
     }
 #endif
-    rec->slow_deq.fetch_add(1, std::memory_order_relaxed);
+    count(rec->slow_deq);
     return slow_pop(rec, v);
   }
 
@@ -211,17 +216,26 @@ class WcqQueueT {
   friend struct WcqTestAccess<Portable>;
 
   struct alignas(detail::kNoFalseSharing) ThreadRec {
+    // Written only by the slot's owner (count()), read by stats().
     std::atomic<std::uint64_t> fast_enq{0};
     std::atomic<std::uint64_t> slow_enq{0};
     std::atomic<std::uint64_t> fast_deq{0};
     std::atomic<std::uint64_t> slow_deq{0};
     std::atomic<std::uint64_t> helps{0};
     // Owner-thread locals (never touched by helpers). seq is only
-    // published through the RingRequest ctl word.
+    // published through the RingRequest ctl word; help_countdown runs
+    // from help_delay to 0 over the owner's operations.
     std::uint64_t seq = 0;
-    std::uint64_t op_count = 0;
+    unsigned help_countdown = 0;
     unsigned help_cursor = 0;
   };
+
+  // Single-writer increment: only the owner writes its record's
+  // counters, so a relaxed load+store replaces a locked RMW. stats()
+  // may read a count one behind, never a torn one.
+  static void count(std::atomic<std::uint64_t>& c) {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
 
   friend class RegistryHandle<WcqQueueT>;
 
@@ -326,7 +340,8 @@ class WcqQueueT {
   // Every help_delay own-operations, look at one peer (round-robin)
   // and drive its pending request, if any, to completion.
   void maybe_help(ThreadRec* rec) {
-    if (++rec->op_count % help_delay_ != 0) return;
+    if (--rec->help_countdown != 0) return;
+    rec->help_countdown = help_delay_;
     const unsigned touched = slots_.high_water();
     if (touched <= 1) return;
     unsigned peer = rec->help_cursor++ % touched;
@@ -337,7 +352,7 @@ class WcqQueueT {
       peer = rec->help_cursor++ % touched;
     }
     if (help_request(&reqs_[peer])) {
-      rec->helps.fetch_add(1, std::memory_order_relaxed);
+      count(rec->helps);
     }
   }
 

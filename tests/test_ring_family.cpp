@@ -23,14 +23,20 @@
 //  5. The kernel's read-only empty probe (SCQ and wCQ rings): exact
 //     against the live count serially, and never "empty" before a
 //     dequeue that finds a value once a concurrent mix has joined.
+//  6. fill() against the enqueue loop it replaces, per index ring
+//     (SCQ, LSCQ's finalizable ring, CCQ, wCQ, NCQ): equal state and
+//     identical results on one seeded tape.
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "queue_test_common.hpp"
+#include "wcq/ncq.hpp"
 #include "wcq/queue.hpp"
 #include "wcq/scq_ring.hpp"
 #include "wcq/two_ring.hpp"
@@ -407,6 +413,115 @@ void test_probe(const char* name) {
       (unsigned long long)left_in_ring);
 }
 
+// ---- 6. fill() against the enqueue loop ----
+
+// A ring started full by fill() must be indistinguishable from a twin
+// that enqueued 0..n-1: equal head/tail/probe where the ring exposes
+// them, after setup and after every op, and identical results for
+// every op of one seeded tape — an in-order drain of 0..n-1, then
+// fill/drain waves that wrap the cycle counter many times, every 4th
+// with a run of empty dequeues long enough to spend the threshold.
+template <typename Ring>
+void test_fill(const char* name, unsigned order) {
+  std::vector<RingRequest> reqs(2);  // noted rings need them
+  const auto make = [&] {
+    if constexpr (std::is_same_v<Ring, NcqRing>) {
+      return std::make_unique<Ring>(order, /*remap=*/true);
+    } else {
+      return std::make_unique<Ring>(order, /*remap=*/true,
+                                    /*portable=*/false, reqs.data());
+    }
+  };
+  const auto filled = make();
+  const auto looped = make();
+  filled->fill();
+  const std::uint64_t cap = looped->capacity();
+  for (std::uint64_t i = 0; i < cap; ++i) {
+    WCQ_CHECK(looped->enqueue_idx(i, Ring::kUnbounded) == Ring::kOk,
+              "%s: loop enqueue %llu refused", name, (unsigned long long)i);
+  }
+
+  std::uint64_t op = 0;
+  const auto same_state = [&] {
+    if constexpr (requires { filled->head(); }) {
+      WCQ_CHECK(filled->head() == looped->head() &&
+                    filled->tail() == looped->tail(),
+                "%s: op %llu head/tail %llu/%llu, loop twin %llu/%llu", name,
+                (unsigned long long)op, (unsigned long long)filled->head(),
+                (unsigned long long)filled->tail(),
+                (unsigned long long)looped->head(),
+                (unsigned long long)looped->tail());
+      WCQ_CHECK(filled->looks_empty() == looped->looks_empty(),
+                "%s: op %llu probe %d, loop twin %d", name,
+                (unsigned long long)op, (int)filled->looks_empty(),
+                (int)looped->looks_empty());
+    }
+  };
+  const auto enqueue = [&](std::uint64_t idx) {
+    ++op;
+    const auto a = filled->enqueue_idx(idx, Ring::kUnbounded);
+    const auto b = looped->enqueue_idx(idx, Ring::kUnbounded);
+    WCQ_CHECK(a == Ring::kOk && b == Ring::kOk,
+              "%s: op %llu enqueue %llu gave %d, loop twin %d", name,
+              (unsigned long long)op, (unsigned long long)idx, (int)a,
+              (int)b);
+    same_state();
+  };
+  // Both rings dequeue; the results must match. Returns the index, or
+  // cap for an empty ring.
+  const auto dequeue = [&] {
+    ++op;
+    std::uint64_t x = cap;
+    std::uint64_t y = cap;
+    const auto a = filled->dequeue_idx(&x, Ring::kUnbounded);
+    const auto b = looped->dequeue_idx(&y, Ring::kUnbounded);
+    WCQ_CHECK(a == b && x == y,
+              "%s: op %llu dequeue gave %d/%llu, loop twin %d/%llu", name,
+              (unsigned long long)op, (int)a, (unsigned long long)x, (int)b,
+              (unsigned long long)y);
+    WCQ_CHECK(a == Ring::kOk || a == Ring::kEmpty,
+              "%s: op %llu dequeue gave %d", name, (unsigned long long)op,
+              (int)a);
+    same_state();
+    return a == Ring::kOk ? x : cap;
+  };
+
+  same_state();
+  std::deque<std::uint64_t> live;
+  std::vector<std::uint64_t> free_idx;
+  for (std::uint64_t i = 0; i < cap; ++i) {
+    const std::uint64_t idx = dequeue();
+    WCQ_CHECK(idx == i, "%s: drain gave %llu, want %llu", name,
+              (unsigned long long)idx, (unsigned long long)i);
+    free_idx.push_back(idx);
+  }
+  Rng rng{0xf111ed + order};
+  const std::uint64_t waves = 64;
+  for (std::uint64_t w = 0; w < waves; ++w) {
+    const std::uint64_t n = rng.next() % (free_idx.size() + 1);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      enqueue(free_idx.back());
+      live.push_back(free_idx.back());
+      free_idx.pop_back();
+    }
+    const std::uint64_t extra = w % 4 == 3 ? 3 * cap + 8 : rng.next() % 3;
+    const std::uint64_t drain = rng.next() % (live.size() + 1) + extra;
+    for (std::uint64_t i = 0; i < drain; ++i) {
+      const std::uint64_t idx = dequeue();
+      const std::uint64_t want = live.empty() ? cap : live.front();
+      WCQ_CHECK(idx == want, "%s: op %llu dequeue gave %llu, want %llu", name,
+                (unsigned long long)op, (unsigned long long)idx,
+                (unsigned long long)want);
+      if (!live.empty()) {
+        live.pop_front();
+        free_idx.push_back(idx);
+      }
+    }
+  }
+  std::printf("  ok fill              %s order %u (%llu ops)\n", name, order,
+              (unsigned long long)op);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -417,24 +532,34 @@ int main(int argc, char** argv) {
     diff_model<harness::ScqAdapter>("scq", 4, true, ops);
     fuzz_concurrent<harness::ScqAdapter>("scq", 6);
     test_probe<ScqRing>("scq");
+    test_fill<ScqRing>("scq", 3);
+    test_fill<ScqRing>("scq", 7);
   }
   if (test::selected(argc, argv, "ncq")) {
     diff_model<harness::NcqAdapter>("ncq", 4, true, ops);
     fuzz_concurrent<harness::NcqAdapter>("ncq", 6);
+    test_fill<NcqRing>("ncq", 3);
+    test_fill<NcqRing>("ncq", 7);
   }
   if (test::selected(argc, argv, "ccq")) {
     diff_model<harness::CcqAdapter>("ccq", 4, true, ops);
     fuzz_concurrent<harness::CcqAdapter>("ccq", 6);
+    test_fill<CcqRing>("ccq", 3);
+    test_fill<CcqRing>("ccq", 7);
   }
   if (test::selected(argc, argv, "wcq")) {
     diff_model<harness::WcqAdapter>("wcq", 4, true, ops);
     fuzz_concurrent<harness::WcqAdapter>("wcq", 6);
     test_probe<WcqRing>("wcq");
+    test_fill<WcqRing>("wcq", 3);
+    test_fill<WcqRing>("wcq", 7);
   }
   if (test::selected(argc, argv, "lscq")) {
     diff_model<harness::LscqAdapter>("lscq", 4, false, ops);
     fuzz_concurrent<harness::LscqAdapter>("lscq", 4);
     test_segment_contract();
+    test_fill<FinalScqRing>("lscq", 3);
+    test_fill<FinalScqRing>("lscq", 7);
   }
   if (argc < 2 || test::selected(argc, argv, "family")) {
     test_tape_agreement();
