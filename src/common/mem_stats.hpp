@@ -4,16 +4,14 @@
 //    algorithm *requested* — exact, allocator-slack-free, but blind to
 //    whatever the C++ runtime does underneath. Benches call
 //    mem::reset() before a run and mem::stats().peak_bytes after.
-//  - the kernel's peak RSS (VmHWM): what the process actually held —
-//    includes allocator slack and fragmentation, which is the number a
-//    deployment sees. reset_peak_rss() rearms the high-water mark
-//    between series (Linux: "5" into /proc/self/clear_refs),
-//    peak_rss_bytes() reads it back.
+//  - the kernel's resident set (VmRSS): what the process actually
+//    holds — includes allocator slack and fragmentation, which is the
+//    number a deployment sees. rss_bytes() reads it.
 //
 // Reporting both keeps Figure 10 honest: a queue that frees promptly
-// through the SMR layer shows a low allocator peak *and* a low RSS
-// peak; a leak shows up in both; an allocator that hoards shows up
-// only in the second.
+// through the SMR layer shows a low allocator peak *and* a low RSS; a
+// leak shows up in both; an allocator that hoards shows up only in the
+// second.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +21,15 @@
 
 namespace wcq::mem {
 
-// Peak resident set size in bytes (VmHWM), 0 when unavailable.
-inline std::uint64_t peak_rss_bytes() {
+// Resident set size in bytes (VmRSS), 0 when unavailable.
+inline std::uint64_t rss_bytes() {
 #if defined(__linux__)
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
   char line[256];
   std::uint64_t kib = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu kB",
+    if (std::sscanf(line, "VmRSS: %llu kB",
                     reinterpret_cast<unsigned long long*>(&kib)) == 1) {
       break;
     }
@@ -40,21 +38,6 @@ inline std::uint64_t peak_rss_bytes() {
   return kib * 1024;
 #else
   return 0;
-#endif
-}
-
-// Rearm the peak-RSS high-water mark so the next peak_rss_bytes()
-// reflects only what happened after this call. Best-effort: returns
-// false (and the mark stays cumulative) when the kernel refuses —
-// callers should then treat RSS peaks as monotone across series.
-inline bool reset_peak_rss() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
-#else
-  return false;
 #endif
 }
 

@@ -1,34 +1,25 @@
 // Measurement driver: spawn N pinned workers, release them through a
-// spin barrier, time the run wall-clock, repeat, and report mean
-// Mops/s with the coefficient of variation across runs — plus, when
+// spin barrier, time the run wall-clock, repeat, and report the median
+// Mops/s with the min and max over runs as its noise band — plus, when
 // the body records into its per-thread histogram, merged per-op
 // latency percentiles.
 //
-// Two load models:
-//  - repeat_measure / repeat_measure_latency: closed loop. Each worker
-//    issues its next op the moment the previous one returns, so the
-//    system always runs at saturation and the figure is throughput.
-//    Closed-loop latency suffers coordinated omission: a slow op also
-//    delays the *issue* of every op behind it, hiding queueing delay.
-//  - open_loop_measure: arrival-rate controlled. Ops are due at
-//    schedule times drawn independently of the system's speed (fixed
-//    interval or Poisson), and a late start is charged to the op:
-//    response time = completion - scheduled arrival = queueing +
-//    service. This is the number a latency SLO actually bounds.
+// The load is a closed loop: each worker issues its next op the moment
+// the previous one returns, so the system always runs at saturation
+// and the figure is throughput. Closed-loop latency suffers
+// coordinated omission (a slow op also delays the issue of every op
+// behind it), so its percentiles are service times, not response
+// times.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "harness/latency.hpp"
-#include "wcq/detail.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -38,43 +29,33 @@
 namespace wcq::harness {
 
 struct MeasureResult {
-  double mean_mops = 0.0;
-  double cv = 0.0;  // stddev / mean across runs
+  // Mops/s over runs: the median and its min-max noise band.
+  double median_mops = 0.0;
+  double min_mops = 0.0;
+  double max_mops = 0.0;
   // Per-op service latency (ns), merged across threads and runs;
   // empty (count()==0) unless the body recorded samples.
   LatencyHistogram latency;
 };
 
-// Thread sweep from WCQ_BENCH_THREADS ("1,2,4,8"), or a small default.
-inline std::vector<unsigned> sweep_thread_counts() {
-  std::vector<unsigned> out;
-  if (const char* env = std::getenv("WCQ_BENCH_THREADS"); env && *env) {
-    unsigned cur = 0;
-    bool have = false;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        cur = cur * 10 + static_cast<unsigned>(*p - '0');
-        have = true;
-      } else {
-        if (have && cur > 0) out.push_back(cur);
-        cur = 0;
-        have = false;
-        if (*p == '\0') break;
-      }
-    }
-  }
-  if (out.empty()) out = {1, 2, 4, 8};
-  return out;
-}
-
+// Pin the calling worker to the (worker mod n)-th of the n CPUs it is
+// allowed to run on, so a run started under a narrowed mask (taskset,
+// a cpuset) stays inside it.
 inline void pin_to_cpu(unsigned worker) {
 #if defined(__linux__)
-  const unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(worker % ncpu, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int n = CPU_COUNT(&allowed);
+  if (n <= 0) return;
+  int want = static_cast<int>(worker % static_cast<unsigned>(n));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || want-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    return;
+  }
 #else
   (void)worker;
 #endif
@@ -86,9 +67,9 @@ inline void pin_to_cpu(unsigned worker) {
 // figure. Each worker gets a private LatencyHistogram (no sharing on
 // the record path); all of them are merged into the result.
 template <typename Setup, typename Body>
-MeasureResult repeat_measure_latency(unsigned runs, unsigned threads,
-                                     std::uint64_t total_ops, Setup&& setup,
-                                     Body&& body) {
+MeasureResult repeat_measure(unsigned runs, unsigned threads,
+                             std::uint64_t total_ops, Setup&& setup,
+                             Body&& body) {
   if (runs == 0) runs = 1;
   if (threads == 0) threads = 1;
   MeasureResult res;
@@ -126,129 +107,12 @@ MeasureResult repeat_measure_latency(unsigned runs, unsigned threads,
                        : 0.0);
     for (const auto& h : hists) res.latency.merge(h);
   }
-  double sum = 0.0;
-  for (double m : mops) sum += m;
-  res.mean_mops = sum / static_cast<double>(mops.size());
-  if (mops.size() > 1 && res.mean_mops > 0.0) {
-    double var = 0.0;
-    for (double m : mops) var += (m - res.mean_mops) * (m - res.mean_mops);
-    var /= static_cast<double>(mops.size() - 1);
-    res.cv = std::sqrt(var) / res.mean_mops;
-  }
-  return res;
-}
-
-// Latency-blind flavor kept for the throughput-only benches.
-template <typename Setup, typename Body>
-MeasureResult repeat_measure(unsigned runs, unsigned threads,
-                             std::uint64_t total_ops, Setup&& setup,
-                             Body&& body) {
-  return repeat_measure_latency(
-      runs, threads, total_ops, setup,
-      [&](unsigned w, LatencyHistogram&) { body(w); });
-}
-
-// ---- open-loop (arrival-rate controlled) load ----------------------
-
-struct OpenLoopResult {
-  double offered_mops = 0.0;   // the configured arrival rate
-  double achieved_mops = 0.0;  // completions / wall-clock, mean of runs
-  // Response time (ns) = completion - scheduled arrival, i.e. queueing
-  // (pacer backlog) + service. Merged across threads and runs.
-  LatencyHistogram response;
-  // Pacing accuracy: mean ns between an op's scheduled arrival and the
-  // moment the worker actually began it. Small vs the inter-arrival
-  // gap = the pacing wheel kept up; large = the offered rate exceeds
-  // capacity and responses are dominated by queueing delay.
-  double mean_start_delay_ns = 0.0;
-};
-
-// Drive each of `threads` workers with its own arrival stream of
-// `arrivals_per_thread` ops at `rate_per_thread_hz`; `poisson` selects
-// exponential inter-arrival gaps (memoryless bursts) over a fixed
-// interval. `op(worker)` performs one operation. Arrivals are never
-// dropped or deferred by the pacer: when the system falls behind, ops
-// start late and the lateness is charged to their response time.
-template <typename Setup, typename Op>
-OpenLoopResult open_loop_measure(unsigned runs, unsigned threads,
-                                 std::uint64_t arrivals_per_thread,
-                                 double rate_per_thread_hz, bool poisson,
-                                 Setup&& setup, Op&& op) {
-  if (runs == 0) runs = 1;
-  if (threads == 0) threads = 1;
-  if (rate_per_thread_hz <= 0.0) rate_per_thread_hz = 1.0;
-  OpenLoopResult res;
-  res.offered_mops = rate_per_thread_hz * threads / 1e6;
-  const double gap_ns = 1e9 / rate_per_thread_hz;
-  std::vector<LatencyHistogram> hists(threads);
-  std::vector<std::uint64_t> delay_sums(threads, 0);
-  double secs_sum = 0.0;
-  std::uint64_t delay_total = 0;
-  for (unsigned r = 0; r < runs; ++r) {
-    setup();
-    for (auto& h : hists) h.reset();
-    for (auto& d : delay_sums) d = 0;
-    std::atomic<unsigned> ready{0};
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w, r] {
-        pin_to_cpu(w);
-        Xoshiro256 rng(0xa11ce5u + w * 7919u + r * 104729u);
-        ready.fetch_add(1, std::memory_order_acq_rel);
-        while (!go.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-        // The pacing wheel: successive deadlines accumulate in double
-        // precision so rounding never drifts the offered rate.
-        double sched = static_cast<double>(now_ns());
-        for (std::uint64_t i = 0; i < arrivals_per_thread; ++i) {
-          double gap = gap_ns;
-          if (poisson) {
-            // u in (0, 1]: exponential inter-arrival via inversion.
-            const double u = (static_cast<double>(rng.next() >> 11) + 1.0) /
-                             9007199254740993.0;
-            gap = gap_ns * -std::log(u);
-          }
-          sched += gap;
-          const auto deadline = static_cast<std::uint64_t>(sched);
-          std::uint64_t now = now_ns();
-          while (now < deadline) {
-            // Far out: yield (oversubscribed boxes must let peers
-            // run); close in: spin for sub-µs arming accuracy.
-            if (deadline - now > 100'000) {
-              std::this_thread::yield();
-            } else {
-              detail::cpu_pause();
-            }
-            now = now_ns();
-          }
-          delay_sums[w] += now - deadline;
-          op(w);
-          hists[w].record(now_ns() - deadline);
-        }
-      });
-    }
-    while (ready.load(std::memory_order_acquire) < threads) {
-      std::this_thread::yield();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    for (auto& t : workers) t.join();
-    const auto t1 = std::chrono::steady_clock::now();
-    secs_sum += std::chrono::duration<double>(t1 - t0).count();
-    for (const auto& h : hists) res.response.merge(h);
-    for (const auto d : delay_sums) delay_total += d;
-  }
-  const double ops_per_run = static_cast<double>(arrivals_per_thread) * threads;
-  if (secs_sum > 0.0) {
-    res.achieved_mops = ops_per_run / 1e6 / (secs_sum / runs);
-  }
-  if (res.response.count() > 0) {
-    res.mean_start_delay_ns = static_cast<double>(delay_total) /
-                              static_cast<double>(res.response.count());
-  }
+  std::sort(mops.begin(), mops.end());
+  const std::size_t mid = mops.size() / 2;
+  res.median_mops = mops.size() % 2 == 1 ? mops[mid]
+                                         : (mops[mid - 1] + mops[mid]) / 2;
+  res.min_mops = mops.front();
+  res.max_mops = mops.back();
   return res;
 }
 

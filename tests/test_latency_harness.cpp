@@ -1,11 +1,12 @@
 // Unit checks for the latency-first harness pieces: histogram bucket
 // mapping, record/merge/percentile correctness, the op sampler, the
-// latency-recording driver, open-loop pacing accuracy, and the
-// starvation watchdog's stall detection.
+// latency-recording driver, and the starvation watchdog's stall
+// detection.
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "harness/driver.hpp"
 #include "harness/latency.hpp"
 #include "harness/watchdog.hpp"
@@ -122,7 +123,7 @@ void test_sampler() {
 
 void test_driver_latency() {
   std::atomic<unsigned> setups{0};
-  const auto res = harness::repeat_measure_latency(
+  const auto res = harness::repeat_measure(
       2, 2, 1000, [&] { setups.fetch_add(1); },
       [&](unsigned worker, LatencyHistogram& hist) {
         WCQ_CHECK(worker < 2, "worker id out of range");
@@ -134,50 +135,8 @@ void test_driver_latency() {
             (unsigned long long)res.latency.count());
   WCQ_CHECK(res.latency.max() == 101, "merged max %llu",
             (unsigned long long)res.latency.max());
-  WCQ_CHECK(res.mean_mops > 0.0, "throughput not positive");
+  WCQ_CHECK(res.median_mops > 0.0, "throughput not positive");
   std::printf("  ok driver_latency\n");
-}
-
-// Open-loop pacing: at a rate this box trivially sustains, the run
-// must take at least the scheduled span (the pacer never runs hot) and
-// the mean start delay must be a small fraction of the inter-arrival
-// gap. Bounds are generous: CI machines (and this box: 1 core) jitter.
-void test_openloop_pacing() {
-  const std::uint64_t arrivals = 200;
-  const double rate = 20'000.0;  // 50 µs fixed gap -> 10 ms run
-  std::atomic<std::uint64_t> ops{0};
-  const auto res = harness::open_loop_measure(
-      1, 1, arrivals, rate, /*poisson=*/false, [] {},
-      [&](unsigned) { ops.fetch_add(1, std::memory_order_relaxed); });
-  WCQ_CHECK(ops.load() == arrivals, "ran %llu of %llu arrivals",
-            (unsigned long long)ops.load(), (unsigned long long)arrivals);
-  WCQ_CHECK(res.response.count() == arrivals, "recorded %llu responses",
-            (unsigned long long)res.response.count());
-  WCQ_CHECK(res.offered_mops > 0.019 && res.offered_mops < 0.021,
-            "offered %f Mops", res.offered_mops);
-  // Never faster than the schedule allows (+5% measurement slack)...
-  WCQ_CHECK(res.achieved_mops <= res.offered_mops * 1.05,
-            "achieved %f > offered %f", res.achieved_mops,
-            res.offered_mops);
-  // ...and the pacer kept up within 2x on a quiet box.
-  WCQ_CHECK(res.achieved_mops >= res.offered_mops * 0.5,
-            "achieved %f way below offered %f (pacer broken?)",
-            res.achieved_mops, res.offered_mops);
-  // Start delay bounded by two 50 µs gaps; response includes it. The
-  // slack is for sanitizer builds, where every clock read in the
-  // pacing loop is 10-20x dearer and the pacer legitimately runs a
-  // fraction of a gap late.
-  WCQ_CHECK(res.mean_start_delay_ns < 100'000.0, "mean start delay %f ns",
-            res.mean_start_delay_ns);
-  // Poisson arrivals: same op count, and the realized mean gap should
-  // straddle 1/rate (exponential mean = gap) within wide bounds.
-  const auto pres = harness::open_loop_measure(
-      1, 1, 500, 50'000.0, /*poisson=*/true, [] {}, [](unsigned) {});
-  WCQ_CHECK(pres.response.count() == 500, "poisson responses");
-  const double dur_s = 500.0 / 1e6 / pres.achieved_mops;
-  WCQ_CHECK(dur_s > 0.004 && dur_s < 0.1,
-            "poisson 500 arrivals @50k/s took %f s (want ~0.01)", dur_s);
-  std::printf("  ok openloop_pacing\n");
 }
 
 void test_watchdog() {
@@ -223,7 +182,6 @@ int main() {
   test_merge();
   test_sampler();
   test_driver_latency();
-  test_openloop_pacing();
   test_watchdog();
   return 0;
 }

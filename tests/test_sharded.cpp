@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/topology.hpp"
 #include "queue_test_common.hpp"
 #include "wcq/faa_queue.hpp"
 #include "wcq/sharded.hpp"
@@ -445,31 +444,6 @@ void test_handle_churn() {
               kMaxThreads);
 }
 
-// Topology helper sanity: it must never lie about structure (every
-// online cpu in exactly one cluster) and its recommendations must be
-// usable sharded configs on any machine.
-void test_topology_helper() {
-  const auto& t = topo::cpu_topology();
-  WCQ_CHECK(t.cpus >= 1, "topology lost the cpus");
-  WCQ_CHECK(!t.clusters.empty(), "topology must report >= 1 cluster");
-  unsigned covered = 0;
-  for (const auto& c : t.clusters) {
-    WCQ_CHECK(!c.empty(), "empty cluster");
-    covered += static_cast<unsigned>(c.size());
-  }
-  WCQ_CHECK(covered == t.cpus, "clusters cover %u of %u cpus", covered,
-            t.cpus);
-  const unsigned rec = topo::recommended_shards();
-  WCQ_CHECK(rec >= 1 && (rec & (rec - 1)) == 0,
-            "recommended_shards %u not a power of two", rec);
-  // The recommendation must construct (order 16 default leaves room).
-  sharded<std::uint64_t> q(options{}.shards(rec));
-  WCQ_CHECK(q.backend().shard_count() == rec, "shard_count mismatch");
-  (void)topo::shard_cpu(0, 0);  // must not crash on any machine
-  std::printf("  ok sharded_topology  %u cpus / %zu clusters -> %u shards\n",
-              t.cpus, t.clusters.size(), rec);
-}
-
 }  // namespace
 
 int main() {
@@ -486,6 +460,5 @@ int main() {
   test_batch_sentinel_refusal();
   test_validation_throws();
   test_handle_churn();
-  test_topology_helper();
   return 0;
 }
