@@ -275,7 +275,7 @@ void ring_order(const BenchArgs& args) {
 // wcq::sharded over 1, 2, 4 and 8 shards (never more shards than
 // threads) and both pickers, against single-ring wCQ and FAA. The
 // "+batch" series drive try_push_n / try_pop_n; over FAA a batch is
-// one ticket burst.
+// one ticket burst per 1,024-cell segment it lands in.
 void sharded(const BenchArgs& args) {
   using ShardedWcq = harness::ShardedWcqAdapter;
   using ShardedFaa = harness::ShardedFaaAdapter;

@@ -26,10 +26,9 @@ class MsqQueue {
  public:
   using Handle = RegistryHandle<MsqQueue>;
 
-  // retire_threshold 0 = auto (see wcq/smr.hpp).
   explicit MsqQueue(const options& opt)
       : slots_(opt.max_threads() ? opt.max_threads() : 1),
-        smr_(slots_.capacity(), opt.retire_threshold()) {
+        smr_(slots_.capacity()) {
     Node* dummy = new_node(0);
     head_.store(dummy, std::memory_order_relaxed);
     tail_.store(dummy, std::memory_order_relaxed);

@@ -10,9 +10,9 @@
 /// \endcode
 ///
 /// Knobs not meaningful for a given backend are simply ignored by it
-/// (e.g. patience for SCQ, seg_order for everything but FAA), so one
-/// options value can configure a whole lineup of queues identically —
-/// which is exactly what the benchmark harness does.
+/// (e.g. patience for SCQ, order for FAA and MSQ), so one options
+/// value can configure a whole lineup of queues identically — which
+/// is exactly what the benchmark harness does.
 #pragma once
 
 namespace wcq {
@@ -36,7 +36,8 @@ class options {
   constexpr options() = default;
 
   /// Ring capacity = 2^order values (bounded backends; paper §6
-  /// uses 16).
+  /// uses 16). LSCQ and LCRQ size their segments by it; FAA and MSQ
+  /// do not read it.
   constexpr options& order(unsigned v) {
     order_ = v;
     return *this;
@@ -45,7 +46,9 @@ class options {
 
   /// Upper bound on *simultaneously live* handles. With RAII
   /// recycling this is a concurrency bound, not a lifetime-total
-  /// bound.
+  /// bound. It also sets the SMR amnesty of the dynamic-memory
+  /// backends: a handle slot parks up to 2 x max_threads retired
+  /// nodes before it scans (wcq/smr.hpp).
   constexpr options& max_threads(unsigned v) {
     max_threads_ = v;
     return *this;
@@ -90,23 +93,6 @@ class options {
   }
   constexpr bool remap() const { return remap_; }
 
-  /// Segment capacity = 2^seg_order slots (unbounded FAA backend).
-  constexpr options& seg_order(unsigned v) {
-    seg_order_ = v;
-    return *this;
-  }
-  constexpr unsigned seg_order() const { return seg_order_; }
-
-  /// SMR amnesty: retired nodes a thread may park before it must run
-  /// a reclamation scan (backends with dynamic memory: MSQ, FAA,
-  /// LCRQ). 0 = auto, the MAX_GARBAGE(n) = 2n shape over max_threads.
-  /// Total parked garbage is bounded by max_threads x this value.
-  constexpr options& retire_threshold(unsigned v) {
-    retire_threshold_ = v;
-    return *this;
-  }
-  constexpr unsigned retire_threshold() const { return retire_threshold_; }
-
   /// Shard count for wcq::sharded (must be a power of two; its
   /// constructor throws std::invalid_argument otherwise). 0 = auto:
   /// a machine-derived count (see wcq/sharded.hpp). Total capacity
@@ -134,8 +120,6 @@ class options {
   unsigned dequeue_patience_ = 64;
   unsigned help_delay_ = 16;
   bool remap_ = true;
-  unsigned seg_order_ = 10;
-  unsigned retire_threshold_ = 0;
   unsigned shards_ = 0;  // 0 = auto
   shard_policy_t shard_policy_ = shard_policy_t::round_robin;
 };

@@ -13,8 +13,9 @@
 ///
 /// Handles are RAII: get_handle() registers the calling thread with
 /// the backend (a ThreadRec slot for wCQ, a registry slot with its
-/// SMR state for FAA, MSQ, LSCQ and LCRQ, nothing for SCQ/NCQ/CCQ,
-/// one of those per shard for ShardedQueue) and destruction recycles
+/// hazard pointers for MSQ and the segment-list queues FAA, LSCQ and
+/// LCRQ, nothing for SCQ/NCQ/CCQ, one of those per shard for
+/// ShardedQueue) and destruction recycles
 /// the registration, so max_threads bounds concurrent participants
 /// rather than lifetime thread count.
 ///
@@ -222,8 +223,9 @@ class queue {
   /// refusal (queue full, or a backend-reserved sentinel pattern);
   /// returns how many were accepted. Values are encoded kBatchChunk at
   /// a time and handed to detail::push_n, so a backend with a native
-  /// burst (FaaQueue's single-FAA ticket run, ShardedQueue's one shard
-  /// pick) pays once per chunk. A refused value's box is dropped.
+  /// burst (FaaQueue's single-FAA ticket run per segment,
+  /// ShardedQueue's one shard pick) pays once per chunk. A refused
+  /// value's box is dropped.
   std::size_t try_push_n(const T* vs, std::size_t n, handle& h) {
     std::uint64_t slots[kBatchChunk];
     std::size_t pushed = 0;

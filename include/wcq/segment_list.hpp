@@ -1,20 +1,27 @@
-// The Michael-Scott list of bounded segments both unbounded ring
-// queues are built from: LSCQ (Nikolaev, DISC 2019, §5; segments are
-// two-ring SCQs) and LCRQ (Morrison & Afek, PPoPP 2013; segments are
-// CRQs). The list owns everything the two share: the handle registry,
-// the SMR domain, the append-a-seeded-segment push loop and the
-// pop/unlink/retire loop.
+// The Michael-Scott list of bounded segments every unbounded array
+// queue here is built from: LSCQ (Nikolaev, DISC 2019, §5; segments
+// are two-ring SCQs), LCRQ (Morrison & Afek, PPoPP 2013; segments are
+// CRQs) and FAA (Ramalhete & Correia's FAAArrayQueue; segments are
+// FAA arrays). The list owns everything they share: the handle
+// registry, the SMR domain, the append-a-seeded-segment push loop and
+// the pop/unlink/retire loop.
 //
 // A segment type Seg supplies only
 //
-//   Seg(const options&)     a fresh, empty, open segment of 2^order
-//   static kMaxOrder        the largest order it accepts
+//   Seg(const options&)     a fresh, empty, open segment
 //   bool push(v)            false iff the segment takes no more values
 //   bool pop(v*)            false iff the segment looked empty
 //   bool pop_last(v*)       called once a successor exists: the
 //                           segment takes no new values from then on,
 //                           and false certifies none can appear in it
-//   static kReserved        optional: a value the segment cannot store
+//   static kMaxOrder        optional: the largest options::order a
+//                           segment sized by order accepts
+//   static kReserved        optional: values >= it cannot be stored
+//   push_n(vs, n), pop_n(out, n)
+//                           optional native burst: push a prefix of
+//                           vs, stopping at the first value the
+//                           segment refuses; pop up to n values, zero
+//                           iff the segment looked empty
 //
 // Enqueue works on the tail segment; when it refuses, a fresh segment
 // seeded with the value is appended. Dequeue drains the head segment;
@@ -28,6 +35,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <new>
 #include <optional>
@@ -46,12 +54,10 @@ class SegmentList {
  public:
   using Handle = RegistryHandle<SegmentList>;
 
-  // 2^order values per segment; retire_threshold 0 = auto (see
-  // wcq/smr.hpp).
   explicit SegmentList(const options& opt)
       : opt_(check_order(opt)),
         slots_(opt.max_threads() ? opt.max_threads() : 1),
-        smr_(slots_.capacity(), opt.retire_threshold()) {
+        smr_(slots_.capacity()) {
     Node* s = new_node();
     head_.store(s, std::memory_order_relaxed);
     tail_.store(s, std::memory_order_relaxed);
@@ -92,20 +98,10 @@ class SegmentList {
   // is succeeded by a fresh one). A segment's reserved value is
   // refused (false) rather than silently lost.
   bool try_push(std::uint64_t v, Handle& h) {
-    if constexpr (requires { Seg::kReserved; }) {
-      if (v == Seg::kReserved) return false;
-    }
+    if (!storable(v)) return false;
     const unsigned slot = h.slot();
     for (;;) {
-      // The hazard keeps the segment alive across its ring ops even if
-      // dequeuers drain and retire it meanwhile.
-      Node* s = smr_.protect(slot, 0, tail_);
-      if (Node* next = s->next.load(std::memory_order_acquire)) {
-        // Someone already appended; help swing tail and retry there.
-        tail_.compare_exchange_strong(s, next, std::memory_order_release,
-                                      std::memory_order_relaxed);
-        continue;
-      }
+      Node* s = protect_tail(slot);
       if (s->seg.push(v)) return true;
       // Seed a fresh segment with the value (it is empty and open, so
       // this cannot fail) and link it.
@@ -123,6 +119,25 @@ class SegmentList {
       }
       free_node(fresh, nullptr);  // lost the append race; nobody saw ours
     }
+  }
+
+  // Native burst, where the segment has one: the storable prefix of
+  // vs goes to the tail segment in runs. The first value a run leaves
+  // behind (the segment filled, or a dequeuer poisoned its cell) goes
+  // through try_push, and the run after it bursts again, so each
+  // pusher's values keep their order. Returns the prefix length.
+  std::size_t try_push_n(const std::uint64_t* vs, std::size_t n, Handle& h)
+    requires requires(Seg& seg) { seg.push_n(vs, n); }
+  {
+    std::size_t k = 0;
+    while (k < n && storable(vs[k])) ++k;
+    std::size_t done = 0;
+    while (done < k) {
+      done += protect_tail(h.slot())->seg.push_n(vs + done, k - done);
+      if (done == k || !try_push(vs[done], h)) break;
+      ++done;
+    }
+    return done;
   }
 
   // False iff the queue is empty.
@@ -146,6 +161,22 @@ class SegmentList {
     }
   }
 
+  // Native burst, where the segment has one: runs from the head
+  // segment, with try_pop moving on to the next segment between runs.
+  // Zero iff the queue is empty.
+  std::size_t try_pop_n(std::uint64_t* out, std::size_t n, Handle& h)
+    requires requires(Seg& seg) { seg.pop_n(out, n); }
+  {
+    std::size_t done = 0;
+    while (done < n) {
+      Node* s = smr_.protect(h.slot(), 0, head_);
+      done += s->seg.pop_n(out + done, n - done);
+      if (done == n || !try_pop(&out[done], h)) break;
+      ++done;
+    }
+    return done;
+  }
+
   smr::Stats smr_stats() const { return smr_.stats(); }
 
  private:
@@ -164,11 +195,35 @@ class SegmentList {
   }
 
   static const options& check_order(const options& opt) {
-    if (opt.order() > Seg::kMaxOrder) {
-      throw std::invalid_argument(
-          "segment list: order exceeds the segment's bound");
+    if constexpr (requires { Seg::kMaxOrder; }) {
+      if (opt.order() > Seg::kMaxOrder) {
+        throw std::invalid_argument(
+            "segment list: order exceeds the segment's bound");
+      }
     }
     return opt;
+  }
+
+  static bool storable(std::uint64_t v) {
+    if constexpr (requires { Seg::kReserved; }) {
+      return v < Seg::kReserved;
+    } else {
+      return true;
+    }
+  }
+
+  // The tail segment under the caller's hazard, once no successor is
+  // linked after it (a linked one is first helped into tail_). The
+  // hazard keeps the segment alive across its ring ops even if
+  // dequeuers drain and retire it meanwhile.
+  Node* protect_tail(unsigned slot) {
+    for (;;) {
+      Node* s = smr_.protect(slot, 0, tail_);
+      Node* next = s->next.load(std::memory_order_acquire);
+      if (next == nullptr) return s;
+      tail_.compare_exchange_strong(s, next, std::memory_order_release,
+                                    std::memory_order_relaxed);
+    }
   }
 
   Node* new_node() { return new (mem::alloc(sizeof(Node))) Node(opt_); }

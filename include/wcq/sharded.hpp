@@ -62,8 +62,9 @@
 /// shard selection per run of slots, handed to that shard through
 /// `detail::push_n`/`pop_n` (and so, on backends with a native burst —
 /// FaaQueue claims a run of tickets with a single FAA — one ticket
-/// acquisition). The facade calls them once per `queue::kBatchChunk`
-/// (256) values, so boxed payloads batch exactly like inline ones.
+/// acquisition per segment the run lands in). The facade calls them
+/// once per `queue::kBatchChunk` (256) values, so boxed payloads
+/// batch exactly like inline ones.
 ///
 /// ## Capacity
 ///

@@ -1,41 +1,29 @@
 /// \file
 /// wcq::smr — the shared safe-memory-reclamation layer every
-/// dynamic-memory backend (MSQ, FAA, and the segment list under LSCQ
+/// dynamic-memory backend (MSQ, and the segment list under FAA, LSCQ
 /// and LCRQ) routes retired nodes through.
 ///
 /// One Domain per queue, sized by the queue's max_threads: each
-/// handle slot owns a fixed strip of hazard-pointer words plus one
-/// epoch word, so the reclamation state — like the ThreadRec records
-/// it sits next to — is bounded by *concurrent* participants
-/// (SlotRegistry recycles the slots; quiesce() is the hand-back
-/// hook).
+/// handle slot owns a fixed strip of hazard-pointer words, so the
+/// reclamation state — like the ThreadRec records it sits next to —
+/// is bounded by *concurrent* participants (SlotRegistry recycles the
+/// slots; quiesce() is the hand-back hook).
 ///
-/// Two protection idioms, usable together or alone per backend:
-///
-///  - Hazard pointers (Michael 2004; the YMC `check`/`update` hazard
-///    idiom in SNIPPETS.md is the same shape): protect(slot, i, src)
-///    publishes a pointer and re-validates the source until stable.
-///    A retired node whose address is published anywhere is not
-///    freed. MSQ, LSCQ and LCRQ use this for the node / segment
-///    currently in hand.
-///  - Epochs: pin(slot) publishes the current global epoch for the
-///    duration of an operation. A node retired at epoch e is not
-///    freed until every pinned slot shows an epoch strictly greater
-///    than e — so any pointer obtained inside a pinned region stays
-///    valid even when it was never individually protected. FAA uses
-///    this for its segment walks (many transient segment pointers per
-///    op; per-node hazards would cost a validation fence each hop).
+/// Protection is by hazard pointers (Michael 2004; the YMC
+/// `check`/`update` hazard idiom in SNIPPETS.md is the same shape):
+/// protect(slot, i, src) publishes a pointer and re-validates the
+/// source until stable. A retired node whose address is published
+/// anywhere is not freed. MSQ protects the node and its successor;
+/// the segment list the one segment in hand.
 ///
 /// Retiring is wait-free and amortized: retired nodes park on the
-/// calling slot's local list, stamped with the current epoch; when
-/// the list reaches the amnesty bound (MAX_GARBAGE shape: 2 x
-/// max_threads by default, wcq::options::retire_threshold to
-/// override) the slot scans — one epoch bump, one snapshot of all
-/// hazard words and pinned epochs — and frees every node that is both
-/// unprotected and epoch-safe. Total parked garbage is therefore
-/// bounded by max_threads x threshold (+ nodes pinned by laggards),
-/// restoring the bounded-memory comparison Figure 10 is supposed to
-/// make.
+/// calling slot's local list; when the list reaches the amnesty bound
+/// (MAX_GARBAGE shape: 2 x max_threads, or the Domain constructor's
+/// second argument) the slot scans — one snapshot of all hazard words
+/// — and frees every node no hazard holds. Total parked garbage is
+/// therefore bounded by max_threads x threshold (+ one hazard-held
+/// node per hazard word), restoring the bounded-memory comparison
+/// Figure 10 is supposed to make.
 #pragma once
 
 #include <atomic>
@@ -57,18 +45,18 @@ struct Stats {
   std::uint64_t scans = 0;            ///< reclamation scans run
 };
 
-/// One reclamation domain per queue: hazard-pointer strips + epoch
-/// words per handle slot, slot-local retire lists with an amnesty
-/// bound.
+/// One reclamation domain per queue: a hazard-pointer strip per
+/// handle slot, slot-local retire lists with an amnesty bound.
 class Domain {
  public:
   /// Hazard words per slot. Two is what the classic algorithms need
   /// (MSQ protects a node and its successor; LCRQ one ring at a
   /// time).
   static constexpr unsigned kHazardsPerSlot = 2;
-  static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 
-  /// retire_threshold 0 = auto: MAX_GARBAGE(n) = 2n per slot.
+  /// retire_threshold 0 = auto: MAX_GARBAGE(n) = 2n per slot. Queues
+  /// use the auto bound; tests pass a threshold to force or hold off
+  /// scans.
   explicit Domain(unsigned max_slots, unsigned retire_threshold = 0)
       : slots_(max_slots),
         threshold_(retire_threshold != 0 ? retire_threshold
@@ -112,63 +100,30 @@ class Domain {
     state_[slot].hp[i].store(nullptr, std::memory_order_release);
   }
 
-  // ---- epochs ----
-
-  /// Enter a pinned region: everything reachable from the data
-  /// structure's shared roots right now (and everything retired while
-  /// we stay pinned) outlives the region.
-  void pin(unsigned slot) {
-    const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-    state_[slot].epoch.store(e, std::memory_order_seq_cst);
-  }
-
-  void unpin(unsigned slot) {
-    state_[slot].epoch.store(kQuiescent, std::memory_order_release);
-  }
-
-  /// RAII pin for backends whose every operation is one pinned
-  /// region.
-  class Pin {
-   public:
-    Pin(Domain& d, unsigned slot) : d_(d), slot_(slot) { d_.pin(slot_); }
-    ~Pin() { d_.unpin(slot_); }
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-
-   private:
-    Domain& d_;
-    unsigned slot_;
-  };
-
   // ---- retire / scan ----
 
-  /// Hand `p` to the domain; del(p, ctx) runs once `p` is provably
-  /// unreachable (no hazard holds it, no pinned slot predates its
-  /// retirement). Caller must have already unlinked `p` from every
-  /// shared root. Only the owner of `slot` may call (slot-local
-  /// list).
+  /// Hand `p` to the domain; del(p, ctx) runs once no hazard holds
+  /// it. Caller must have already unlinked `p` from every shared
+  /// root. Only the owner of `slot` may call (slot-local list).
   void retire(unsigned slot, void* p, void (*del)(void*, void*), void* ctx) {
     SlotState& s = state_[slot];
-    s.retired.push_back(
-        Retired{p, del, ctx, epoch_.load(std::memory_order_acquire)});
+    s.retired.push_back(Retired{p, del, ctx});
     s.retired_count.store(s.retired.size(), std::memory_order_relaxed);
     s.retire_calls.fetch_add(1, std::memory_order_relaxed);
     if (s.retired.size() >= threshold_) scan(slot);
   }
 
-  /// Free every node on `slot`'s list that no hazard protects and no
-  /// pinned epoch can still reach. Advances the global epoch first so
-  /// quiescent-but-returning readers land on the young side of the
-  /// cut.
+  /// Free every node on `slot`'s list that no hazard protects. A
+  /// reader whose hazard store comes after this snapshot re-reads its
+  /// source in protect() and sees the post-unlink root, so it cannot
+  /// reach our retirees.
   void scan(unsigned slot) {
     SlotState& s = state_[slot];
     s.scans.fetch_add(1, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    // Orders the callers' unlinks (acq_rel CASes) before the hazard
+    // loads, against protect()'s store-then-reload.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
 
-    // Snapshot the protection state *after* the bump: any reader that
-    // pins later sees post-unlink roots and cannot reach our
-    // retirees.
-    std::uint64_t min_epoch = epoch_.load(std::memory_order_seq_cst);
     std::vector<void*> hazards;
     hazards.reserve(slots_ * kHazardsPerSlot);
     for (unsigned i = 0; i < slots_; ++i) {
@@ -177,8 +132,6 @@ class Domain {
           hazards.push_back(h);
         }
       }
-      const std::uint64_t e = state_[i].epoch.load(std::memory_order_seq_cst);
-      if (e != kQuiescent && e < min_epoch) min_epoch = e;
     }
 
     auto protected_by_hazard = [&](void* p) {
@@ -191,9 +144,7 @@ class Domain {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < s.retired.size(); ++i) {
       const Retired& r = s.retired[i];
-      // Strict <: a reader pinned at exactly r.epoch may have taken
-      // its root pointer before the unlink that preceded this retire.
-      if (r.epoch < min_epoch && !protected_by_hazard(r.p)) {
+      if (!protected_by_hazard(r.p)) {
         r.del(r.p, r.ctx);
         s.reclaimed.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -210,7 +161,6 @@ class Domain {
   /// backstop — so nothing leaks and nothing is freed early.
   void quiesce(unsigned slot) {
     for (unsigned j = 0; j < kHazardsPerSlot; ++j) clear_hazard(slot, j);
-    unpin(slot);
     if (!state_[slot].retired.empty()) scan(slot);
   }
 
@@ -235,12 +185,10 @@ class Domain {
     void* p;
     void (*del)(void*, void*);
     void* ctx;
-    std::uint64_t epoch;
   };
 
   struct alignas(detail::kNoFalseSharing) SlotState {
     std::atomic<void*> hp[kHazardsPerSlot] = {};
-    std::atomic<std::uint64_t> epoch{kQuiescent};
     // Owner-only (the slot holder; recycled with the slot). The
     // atomic mirrors below exist so stats()/tests can read counts
     // from other threads without touching the vector.
@@ -254,7 +202,6 @@ class Domain {
   const unsigned slots_;
   const unsigned threshold_;
   SlotState* state_;
-  alignas(detail::kNoFalseSharing) std::atomic<std::uint64_t> epoch_{1};
 };
 
 }  // namespace wcq::smr

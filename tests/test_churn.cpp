@@ -274,7 +274,7 @@ int main() {
   test_churn_waves<NcqAdapter>("ncq");
   test_churn_waves<CcqAdapter>("ccq");
   // SMR-backed backends: recycling a handle slot also hands its
-  // hazard/epoch strip and parked retire list to the next wave.
+  // hazard strip and parked retire list to the next wave.
   test_churn_waves<MsqAdapter>("msq");
   test_churn_waves<FaaAdapter>("faa");
   test_churn_waves<LcrqAdapter>("lcrq");

@@ -15,13 +15,12 @@ using namespace wcq;
 using namespace wcq::test;
 
 // The first options value past each backend's bound. The ring family
-// (wCQ, SCQ, NCQ, CCQ, LSCQ) caps order at 20, LCRQ at 30 and FAA's
-// seg_order at 20; the sharded lineup splits order over 4 shards. MSQ
-// sizes nothing from options, so it has no bound.
+// (wCQ, SCQ, NCQ, CCQ, LSCQ) caps order at 20 and LCRQ at 30; the
+// sharded lineup splits order over 4 shards. MSQ and FAA size nothing
+// from options, so they have no bound.
 std::optional<options> past_bound(std::string_view q) {
   const options o = options{}.max_threads(2);
-  if (q == "msq") return std::nullopt;
-  if (q == "faa") return options(o).seg_order(21);
+  if (q == "msq" || q == "faa") return std::nullopt;
   if (q == "lcrq") return options(o).order(31);
   if (q == "sharded-wcq") return options(o).order(23);
   if (q == "sharded-lcrq") return options(o).order(33);

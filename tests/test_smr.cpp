@@ -1,10 +1,10 @@
 // Direct coverage of wcq::smr::Domain — the shared reclamation layer
-// under MSQ/FAA/LCRQ. Single-threaded checks pin down the protection
-// semantics (a hazard or a pinned epoch must block the free, clearing
-// it must unblock); the churn test swaps a shared node under
-// concurrent hazard-protected readers across waves of recycled slots,
-// so a protection bug is a real use-after-free ASan flags, and the
-// amnesty bound is asserted from live stats.
+// under MSQ and the segment list (FAA/LCRQ/LSCQ). Single-threaded
+// checks pin down the protection semantics (a hazard must block the
+// free, clearing it must unblock); the churn test swaps a shared node
+// under concurrent hazard-protected readers across waves of recycled
+// slots, so a protection bug is a real use-after-free ASan flags, and
+// the amnesty bound is asserted from live stats.
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -70,39 +70,6 @@ void test_hazard_blocks_free() {
   std::printf("  ok smr_hazard_blocks_free\n");
 }
 
-// A slot pinned before the retirement must block the free (its pinned
-// epoch is not strictly greater than the retire stamp); unpinning
-// releases it. A slot that pins *after* the scan's epoch bump must
-// not block nodes retired before it pinned.
-void test_epoch_pin_blocks_free() {
-  smr::Domain d(2, /*retire_threshold=*/100);  // no auto-scan
-  Node* n = make_node(9);
-
-  d.pin(0);  // reader enters; could now hold any reachable pointer
-  d.retire(1, n, &delete_node, nullptr);
-  for (int i = 0; i < 8; ++i) d.scan(1);
-  WCQ_CHECK(n->canary == Node::kAlive,
-            "node retired inside a pinned region was freed");
-  WCQ_CHECK(d.stats().retired_nodes == 1, "node must still be parked");
-
-  d.unpin(0);
-  d.scan(1);
-  WCQ_CHECK(d.stats().retired_nodes == 0 && d.stats().reclaimed_nodes == 1,
-            "unpinned reader must not block the free");
-
-  // Late pin: pinning after the retire + scan epoch bump lands on the
-  // young side of the cut and must not hold the next retiree.
-  Node* m = make_node(10);
-  d.retire(1, m, &delete_node, nullptr);
-  d.scan(1);  // bumps the epoch past m's stamp; nobody pinned
-  d.pin(0);
-  d.scan(1);
-  WCQ_CHECK(d.stats().retired_nodes == 0,
-            "a reader pinned after the unlink epoch must not block");
-  d.unpin(0);
-  std::printf("  ok smr_epoch_pin\n");
-}
-
 // With nothing protected, the per-slot list must never exceed the
 // amnesty threshold: every retire at the bound triggers a scan that
 // drains it completely.
@@ -136,7 +103,6 @@ void test_destructor_drains() {
     for (unsigned i = 0; i < 64; ++i) {
       d.retire(0, make_node(i), &delete_node, nullptr);
     }
-    d.pin(1);  // even a still-pinned slot does not leak at teardown
     WCQ_CHECK(d.stats().retired_nodes == 64, "expected 64 parked nodes");
   }
   WCQ_CHECK(mem::stats().live_bytes == before,
@@ -232,7 +198,6 @@ void test_concurrent_churn() {
 
 int main() {
   test_hazard_blocks_free();
-  test_epoch_pin_blocks_free();
   test_retire_threshold_bound();
   test_destructor_drains();
   test_concurrent_churn();
