@@ -18,6 +18,8 @@
 #include <atomic>
 #include <cstdint>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "wcq/mem.hpp"
@@ -76,6 +78,20 @@ class RegistryHandle {
   Q* q_ = nullptr;
   unsigned slot_ = 0;
 };
+
+/// The throwing get_handle() of every backend with limited handle
+/// slots: `b.try_get_handle()`, or std::runtime_error naming `backend`
+/// when it returns nullopt. For call sites where running out of
+/// slots is a logic error.
+template <typename B>
+typename B::Handle get_handle_or_throw(B& b, const char* backend) {
+  auto h = b.try_get_handle();
+  if (!h) {
+    throw std::runtime_error(std::string(backend) +
+                             ": all max_threads handle slots are live");
+  }
+  return std::move(*h);
+}
 
 /// Lock-free index allocator behind every backend's handle slots:
 /// acquire() prefers recycled indices (keeping the high-water mark —

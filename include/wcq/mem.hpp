@@ -51,6 +51,30 @@ inline void free(void* p, std::size_t bytes,
   ::operator delete(p, bytes, std::align_val_t{align});
 }
 
+// An owned array of n default-constructed T from mem::alloc. As a
+// member it is released when a later member's constructor throws.
+template <typename T>
+class Array {
+ public:
+  explicit Array(std::size_t n)
+      : n_(n), p_(static_cast<T*>(alloc(n * sizeof(T)))) {
+    for (std::size_t i = 0; i < n_; ++i) new (&p_[i]) T();
+  }
+  ~Array() {
+    for (std::size_t i = 0; i < n_; ++i) p_[i].~T();
+    free(p_, n_ * sizeof(T));
+  }
+  Array(const Array&) = delete;
+  Array& operator=(const Array&) = delete;
+
+  T* data() const { return p_; }
+  T& operator[](std::size_t i) const { return p_[i]; }
+
+ private:
+  const std::size_t n_;
+  T* const p_;
+};
+
 // Zero all counters (call between benchmark runs, with no queues live).
 inline void reset() {
   detail::live.store(0, std::memory_order_relaxed);

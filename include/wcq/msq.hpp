@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <new>
 #include <optional>
-#include <stdexcept>
 
 #include "wcq/detail.hpp"
 #include "wcq/handle.hpp"
@@ -55,14 +54,7 @@ class MsqQueue {
     return Handle(this, slot);
   }
 
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "msq: all max_threads handle slots are simultaneously live");
-    }
-    return std::move(*h);
-  }
+  Handle get_handle() { return get_handle_or_throw(*this, "msq"); }
 
   // Always succeeds (unbounded).
   bool try_push(std::uint64_t v, Handle& h) { return push_impl(v, h.slot()); }

@@ -85,14 +85,7 @@ class SegmentList {
     return Handle(this, slot);
   }
 
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "segment list: all max_threads handle slots are live");
-    }
-    return std::move(*h);
-  }
+  Handle get_handle() { return get_handle_or_throw(*this, "segment list"); }
 
   // Succeeds for every storable value (unbounded: a refusing segment
   // is succeeded by a fresh one). A segment's reserved value is

@@ -86,6 +86,7 @@
 #include <utility>
 
 #include "wcq/concepts.hpp"
+#include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/queue.hpp"
@@ -228,15 +229,7 @@ class ShardedQueue {
   }
 
   /// Throwing flavor for call sites where exhaustion is a logic error.
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "sharded: a shard has all max_threads handle slots "
-          "simultaneously live");
-    }
-    return std::move(*h);
-  }
+  Handle get_handle() { return get_handle_or_throw(*this, "sharded shard"); }
 
   /// False iff no shard accepts (all full, or the backend reserves
   /// the slot's bit pattern — see queue.hpp's sentinel caveat).

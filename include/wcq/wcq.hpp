@@ -1,24 +1,28 @@
 // wCQ (Nikolaev & Ravindran, SPAA 2022): a wait-free bounded queue
-// built on the SCQ ring. The fast path is SCQ with bounded patience
-// (Section 6 uses 16 enqueue / 64 dequeue attempts); when patience
-// runs out the operation is published as a RingRequest and completed
-// through the paper's cooperative note protocol (Figures 4-7): every
-// ring entry carries a note word next to it, claims and commits are
-// double-width CASes, and *any* number of threads — the owner plus
-// every helper that notices the request — advance the same pending
-// operation concurrently. No thread ever takes exclusive ownership of
-// a request; the commit is made unique by a single Pending->Phase2
-// transition on the request's ctl word, not by an executor claim.
-// Threads check one peer for a pending request every `help_delay` own
-// operations ("to amortize the cost of help_threads", Section 3.1).
+// built on the SCQ ring. The queue is the two-ring construction
+// (wcq/two_ring.hpp: aq free indices -> data -> fq filled indices)
+// over noted rings; this file is only the helping layer on top of it.
 //
-// A queue-level operation on the slow path is two ring-level requests
-// driven in order by the owner (enqueue: aq-dequeue a free index,
-// write data, fq-enqueue the index; dequeue mirrors it), each of which
-// is helpable by everyone while it is pending.
+// The layer runs each ring op of a push or pop by one ring-op rule:
+// the fast path is the ring op under patience (Section 6 uses 16
+// enqueue / 64 dequeue attempts; the fq dequeue spends dequeue
+// patience, the other three ring ops enqueue patience). A fast kEmpty
+// is final. On kContended the ring op is published as this thread's
+// RingRequest and completed through the paper's cooperative note
+// protocol (Figures 4-7): every ring entry carries a note word next to
+// it, claims and commits are double-width CASes, and *any* number of
+// threads — the owner plus every helper that notices the request —
+// advance the same pending operation concurrently. No thread ever
+// takes exclusive ownership of a request; the commit is made unique by
+// a single Pending->Phase2 transition on the request's ctl word, not
+// by an executor claim. Threads check one peer for a pending request
+// every `help_delay` own operations ("to amortize the cost of
+// help_threads", Section 3.1). A push or pop counts as slow in
+// stats() if any of its ring ops took the slow path.
 //
-// Compile with -DWCQ_ALL_SLOW to skip the fast path entirely, so
-// every operation exercises the note protocol (test builds only).
+// Compile with -DWCQ_ALL_SLOW to make the rule skip the fast attempt,
+// so every ring op exercises the note protocol and every operation
+// counts as slow (test builds only).
 #pragma once
 
 #include <atomic>
@@ -26,13 +30,13 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 
 #include "wcq/detail.hpp"
 #include "wcq/handle.hpp"
 #include "wcq/mem.hpp"
 #include "wcq/options.hpp"
 #include "wcq/ring_noted.hpp"  // ScqRingT + the Noted helping layer
+#include "wcq/two_ring.hpp"
 
 namespace wcq {
 
@@ -53,40 +57,28 @@ struct WcqTestAccess;
 
 template <bool Portable>
 class WcqQueueT {
+  using Rings = TwoRingQueue<WcqRing>;
+  // Note words carry ring indices in 21 aux bits.
+  static_assert(Rings::kMaxOrder <= detail::kMaxNoteOrder);
+
  public:
   using Handle = RegistryHandle<WcqQueueT>;
 
-  // Note words carry ring indices in 21 aux bits and thread slots in 9,
-  // so order must be <= detail::kMaxNoteOrder (20) and max_threads <=
-  // detail::kMaxNoteThreads (512); the constructor throws
-  // std::invalid_argument beyond either. Zero patience, help_delay or
-  // max_threads is raised to 1. The free-index ring aq starts full
-  // through WcqRing::fill(): plain stores, not one CAS2 enqueue per
-  // data slot.
+  // Note words carry thread slots in 9 bits, so max_threads must be
+  // <= detail::kMaxNoteThreads (512), and order <= 20 as for every
+  // two-ring queue; the constructor throws std::invalid_argument
+  // beyond either. Zero patience, help_delay or max_threads is raised
+  // to 1.
   explicit WcqQueueT(const options& opt)
       : max_threads_(check_threads(opt.max_threads())),
         enqueue_patience_(at_least_one(opt.enqueue_patience())),
         dequeue_patience_(at_least_one(opt.dequeue_patience())),
         help_delay_(at_least_one(opt.help_delay())),
-        n_(std::uint64_t{1} << check_order(opt.order())),
-        reqs_(static_cast<RingRequest*>(
-            mem::alloc(max_threads_ * sizeof(RingRequest)))),
-        aq_(opt.order(), opt.remap(), Portable, reqs_, /*is_fq=*/false),
-        fq_(opt.order(), opt.remap(), Portable, reqs_, /*is_fq=*/true),
-        slots_(max_threads_) {
+        reqs_(max_threads_),
+        rings_(opt, Portable, reqs_.data()),
+        slots_(max_threads_),
+        recs_(max_threads_) {
     for (unsigned i = 0; i < max_threads_; ++i) {
-      new (&reqs_[i]) RingRequest();
-    }
-    data_ = static_cast<std::atomic<std::uint64_t>*>(
-        mem::alloc(n_ * sizeof(std::atomic<std::uint64_t>)));
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-    }
-    aq_.fill();
-    recs_ = static_cast<ThreadRec*>(
-        mem::alloc(max_threads_ * sizeof(ThreadRec)));
-    for (unsigned i = 0; i < max_threads_; ++i) {
-      new (&recs_[i]) ThreadRec();
       recs_[i].help_countdown = help_delay_;
     }
   }
@@ -97,17 +89,12 @@ class WcqQueueT {
     // memory. Catch the misuse here, where the guilty queue is known.
     assert(slots_.live() == 0 &&
            "wcq: a Handle is outliving its queue (use-after-free ahead)");
-    for (unsigned i = 0; i < max_threads_; ++i) recs_[i].~ThreadRec();
-    mem::free(recs_, max_threads_ * sizeof(ThreadRec));
-    mem::free(data_, n_ * sizeof(std::atomic<std::uint64_t>));
-    for (unsigned i = 0; i < max_threads_; ++i) reqs_[i].~RingRequest();
-    mem::free(reqs_, max_threads_ * sizeof(RingRequest));
   }
 
   WcqQueueT(const WcqQueueT&) = delete;
   WcqQueueT& operator=(const WcqQueueT&) = delete;
 
-  std::uint64_t capacity() const { return n_; }
+  std::uint64_t capacity() const { return rings_.capacity(); }
 
   // Every participating thread needs its own handle (the paper's
   // per-thread state for helping). Handles are RAII: destruction
@@ -123,75 +110,33 @@ class WcqQueueT {
     return Handle(this, slot);
   }
 
-  // Throwing flavor for call sites where exhaustion is a logic error.
-  Handle get_handle() {
-    auto h = try_get_handle();
-    if (!h) {
-      throw std::runtime_error(
-          "wcq: all max_threads handle slots are simultaneously live");
-    }
-    return std::move(*h);
-  }
+  Handle get_handle() { return get_handle_or_throw(*this, "wcq"); }
 
   // False iff the queue is full.
   bool try_push(std::uint64_t v, Handle& h) {
     ThreadRec* rec = &recs_[h.slot()];
     maybe_help(rec);
-#if !defined(WCQ_ALL_SLOW)
-    std::uint64_t idx = 0;
-    const WcqRing::Result rc = aq_.dequeue_idx(&idx, enqueue_patience_);
-    if (rc == WcqRing::kEmpty) {
-      count(rec->fast_enq);
-      return false;  // full: definitive, no slow path needed
-    }
-    if (rc == WcqRing::kOk) {
-      data_[idx].store(v, std::memory_order_relaxed);
-      if (fq_.enqueue_idx(idx, enqueue_patience_) == WcqRing::kOk) {
-        count(rec->fast_enq);
-        return true;
-      }
-      // We already own the free index; only the second stage needs the
-      // cooperative path (a ring enqueue cannot fail, only contend).
-      count(rec->slow_enq);
-      publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/false, idx);
-      complete_ring_op(rec, nullptr);
-      return true;
-    }
-#endif
-    count(rec->slow_enq);
-    return slow_push(rec, v);
+    Helped rule{this, rec};
+    const bool ok = rings_.push(v, rule);
+    count(rule.slow ? rec->slow_enq : rec->fast_enq);
+    return ok;
   }
 
   // False iff the queue is empty.
   bool try_pop(std::uint64_t* v, Handle& h) {
     ThreadRec* rec = &recs_[h.slot()];
     maybe_help(rec);
-#if !defined(WCQ_ALL_SLOW)
-    std::uint64_t idx = 0;
-    const WcqRing::Result rc = fq_.dequeue_idx(&idx, dequeue_patience_);
-    if (rc == WcqRing::kEmpty) {
-      count(rec->fast_deq);
-      return false;
-    }
-    if (rc == WcqRing::kOk) {
-      *v = data_[idx].load(std::memory_order_relaxed);
-      if (aq_.enqueue_idx(idx, enqueue_patience_) != WcqRing::kOk) {
-        publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
-        complete_ring_op(rec, nullptr);
-      }
-      count(rec->fast_deq);
-      return true;
-    }
-#endif
-    count(rec->slow_deq);
-    return slow_pop(rec, v);
+    Helped rule{this, rec};
+    const bool ok = rings_.pop(v, rule);
+    count(rule.slow ? rec->slow_deq : rec->fast_deq);
+    return ok;
   }
 
   // Read-only hint that try_pop would find the queue empty (the value
   // ring's probe, see ScqRingT::looks_empty). For callers choosing
   // among queues, such as ShardedQueue's scan; wCQ's own paths never
   // use it.
-  bool looks_empty() const { return fq_.looks_empty(); }
+  bool looks_empty() const { return rings_.fq().looks_empty(); }
 
   WcqStats stats() const {
     WcqStats s;
@@ -230,6 +175,44 @@ class WcqQueueT {
     unsigned help_cursor = 0;
   };
 
+  // The ring-op rule (see the file comment). `slow` records whether
+  // any ring op of this push or pop went slow.
+  struct Helped {
+#if defined(WCQ_ALL_SLOW)
+    static constexpr bool kFastPath = false;
+#else
+    static constexpr bool kFastPath = true;
+#endif
+    WcqQueueT* q;
+    ThreadRec* rec;
+    bool slow = false;
+
+    template <bool Fq>
+    WcqRing::Result dequeue(WcqRing& ring, std::uint64_t* idx) {
+      if constexpr (kFastPath) {
+        const WcqRing::Result rc = ring.dequeue_idx(
+            idx, Fq ? q->dequeue_patience_ : q->enqueue_patience_);
+        if (rc != WcqRing::kContended) return rc;
+      }
+      slow = true;
+      q->publish_ring_op(rec, Fq, /*deq=*/true, 0);
+      return q->complete_ring_op(rec, idx) ? WcqRing::kOk : WcqRing::kEmpty;
+    }
+
+    template <bool Fq>
+    WcqRing::Result enqueue(WcqRing& ring, std::uint64_t idx) {
+      if constexpr (kFastPath) {
+        if (ring.enqueue_idx(idx, q->enqueue_patience_) == WcqRing::kOk) {
+          return WcqRing::kOk;
+        }
+      }
+      slow = true;
+      q->publish_ring_op(rec, Fq, /*deq=*/false, idx);
+      q->complete_ring_op(rec, nullptr);  // a ring enqueue cannot fail
+      return WcqRing::kOk;
+    }
+  };
+
   // Single-writer increment: only the owner writes its record's
   // counters, so a relaxed load+store replaces a locked RMW. stats()
   // may read a count one behind, never a torn one.
@@ -241,21 +224,14 @@ class WcqQueueT {
 
   static unsigned at_least_one(unsigned v) { return v == 0 ? 1 : v; }
 
-  // Reject rather than clamp — a silently halved capacity or lost
-  // handle slots would be far harder to debug than this throw.
+  // Reject rather than clamp — lost handle slots would be far harder
+  // to debug than this throw.
   static unsigned check_threads(unsigned v) {
     if (v > detail::kMaxNoteThreads) {
       throw std::invalid_argument(
           "wcq: max_threads exceeds kMaxNoteThreads (512)");
     }
     return at_least_one(v);
-  }
-
-  static unsigned check_order(unsigned v) {
-    if (v > detail::kMaxNoteOrder) {
-      throw std::invalid_argument("wcq: order exceeds kMaxNoteOrder (20)");
-    }
-    return v;
   }
 
   void release_slot(unsigned slot) {
@@ -270,8 +246,10 @@ class WcqQueueT {
   static ThreadRec* rec_of(Handle& h) { return &h.q_->recs_[h.slot()]; }
 
   RingRequest* req_of(ThreadRec* rec) {
-    return &reqs_[static_cast<unsigned>(rec - recs_)];
+    return &reqs_[static_cast<unsigned>(rec - recs_.data())];
   }
+
+  WcqRing& ring(bool fq_ring) { return fq_ring ? rings_.fq() : rings_.aq(); }
 
   // Publish one ring-level operation as this thread's request. Does
   // not drive it: from this moment any helper can complete it.
@@ -282,8 +260,8 @@ class WcqQueueT {
     r->arg.store(arg, std::memory_order_relaxed);
     r->result.store(detail::pack_result(seq, detail::kResultNone),
                     std::memory_order_relaxed);
-    WcqRing& ring = fq_ring ? fq_ : aq_;
-    r->pos.store(deq ? ring.head() : ring.tail(), std::memory_order_relaxed);
+    r->pos.store(deq ? ring(fq_ring).head() : ring(fq_ring).tail(),
+                 std::memory_order_relaxed);
     r->ctl.store(detail::pack_ctl(seq, 0, fq_ring, deq, detail::kReqPending),
                  std::memory_order_release);
   }
@@ -293,7 +271,7 @@ class WcqQueueT {
   bool complete_ring_op(ThreadRec* rec, std::uint64_t* out) {
     RingRequest* r = req_of(rec);
     std::uint64_t c = r->ctl.load(std::memory_order_acquire);
-    (detail::ctl_fq(c) ? fq_ : aq_).help_slow(r);
+    ring(detail::ctl_fq(c)).help_slow(r);
     c = r->ctl.load(std::memory_order_acquire);
     const bool ok = detail::ctl_state(c) == detail::kReqDoneOk;
     if (ok && out != nullptr) {
@@ -312,28 +290,7 @@ class WcqQueueT {
     const std::uint64_t c = r->ctl.load(std::memory_order_acquire);
     const std::uint64_t st = detail::ctl_state(c);
     if (st != detail::kReqPending && st != detail::kReqPhase2) return false;
-    (detail::ctl_fq(c) ? fq_ : aq_).help_slow(r);
-    return true;
-  }
-
-  // Queue-level slow enqueue: two helpable ring requests in sequence.
-  bool slow_push(ThreadRec* rec, std::uint64_t v) {
-    std::uint64_t idx = 0;
-    publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/true, 0);
-    if (!complete_ring_op(rec, &idx)) return false;  // aq empty: full
-    data_[idx].store(v, std::memory_order_relaxed);
-    publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/false, idx);
-    complete_ring_op(rec, nullptr);  // ring enqueue cannot fail
-    return true;
-  }
-
-  bool slow_pop(ThreadRec* rec, std::uint64_t* v) {
-    std::uint64_t idx = 0;
-    publish_ring_op(rec, /*fq_ring=*/true, /*deq=*/true, 0);
-    if (!complete_ring_op(rec, &idx)) return false;  // empty
-    *v = data_[idx].load(std::memory_order_relaxed);
-    publish_ring_op(rec, /*fq_ring=*/false, /*deq=*/false, idx);
-    complete_ring_op(rec, nullptr);
+    ring(detail::ctl_fq(c)).help_slow(r);
     return true;
   }
 
@@ -360,18 +317,22 @@ class WcqQueueT {
   const unsigned enqueue_patience_;
   const unsigned dequeue_patience_;
   const unsigned help_delay_;
-  const std::uint64_t n_;
-  RingRequest* const reqs_;  // shared by both rings, indexed by slot
-  WcqRing aq_;
-  WcqRing fq_;
-  std::atomic<std::uint64_t>* data_ = nullptr;
-  ThreadRec* recs_ = nullptr;
+  // Built in this order: requests, aq, fq, data, registry, records.
+  // reqs_ is owned, so it is freed when rings_ throws on a bad order.
+  // The order decides which freed blocks the allocator trims between
+  // constructions, and so how many pages the next one faults in: with
+  // the records before the registry, perfbench's LSCQ set-up (built
+  // after wCQ's) tripled.
+  mem::Array<RingRequest> reqs_;  // shared by both rings, indexed by slot
+  Rings rings_;
   SlotRegistry slots_;
+  mem::Array<ThreadRec> recs_;
 };
 
 // Deterministic slow-path levers for the test suite: publish a request
 // exactly as a stalling owner would, let other handles help it, then
-// resume the owner. Mirrors WcqQueueT's own slow_push/slow_pop split.
+// resume the owner. The two-stage levers are the queue's own push and
+// pop with one stage replaced.
 template <bool Portable>
 struct WcqTestAccess {
   using Q = WcqQueueT<Portable>;
@@ -387,13 +348,7 @@ struct WcqTestAccess {
   // aq had no free index (queue full): nothing is published then, so
   // a test never installs a garbage index.
   static bool publish_stalled_push(Q& q, H& h, std::uint64_t v) {
-    std::uint64_t idx = 0;
-    if (q.aq_.dequeue_idx(&idx, WcqRing::kUnbounded) != WcqRing::kOk) {
-      return false;
-    }
-    q.data_[idx].store(v, std::memory_order_relaxed);
-    q.publish_ring_op(Q::rec_of(h), /*fq_ring=*/true, /*deq=*/false, idx);
-    return true;
+    return q.rings_.push(v, PublishFqEnqueue{{&q, Q::rec_of(h)}});
   }
 
   // Helper-side single call: drive h's request as maybe_help would.
@@ -410,12 +365,7 @@ struct WcqTestAccess {
   // Owner resumes a stalled pop: finish stage 1 (possibly already done
   // by helpers), then run stage 2 (return the index to aq).
   static bool finish_pop(Q& q, H& h, std::uint64_t* v) {
-    std::uint64_t idx = 0;
-    if (!q.complete_ring_op(Q::rec_of(h), &idx)) return false;
-    *v = q.data_[idx].load(std::memory_order_relaxed);
-    q.publish_ring_op(Q::rec_of(h), /*fq_ring=*/false, /*deq=*/false, idx);
-    q.complete_ring_op(Q::rec_of(h), nullptr);
-    return true;
+    return q.rings_.pop(v, CompleteFqDequeue{{&q, Q::rec_of(h)}});
   }
 
   // Owner resumes a stalled push: its stage 2 is the whole remainder.
@@ -426,6 +376,26 @@ struct WcqTestAccess {
   static std::uint64_t helps(H& h) {
     return Q::rec_of(h)->helps.load(std::memory_order_relaxed);
   }
+
+ private:
+  // wCQ's ring-op rule with the fq enqueue only published.
+  struct PublishFqEnqueue : Q::Helped {
+    template <bool Fq>
+    WcqRing::Result enqueue(WcqRing&, std::uint64_t idx) {
+      this->q->publish_ring_op(this->rec, Fq, /*deq=*/false, idx);
+      return WcqRing::kOk;
+    }
+  };
+
+  // wCQ's ring-op rule with the fq dequeue taken from the request
+  // already published.
+  struct CompleteFqDequeue : Q::Helped {
+    template <bool Fq>
+    WcqRing::Result dequeue(WcqRing&, std::uint64_t* idx) {
+      return this->q->complete_ring_op(this->rec, idx) ? WcqRing::kOk
+                                                       : WcqRing::kEmpty;
+    }
+  };
 };
 
 using WcqQueue = WcqQueueT<false>;

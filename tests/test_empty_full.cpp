@@ -3,11 +3,13 @@
 // sharded wCQ; FAA, MSQ, LCRQ and LSCQ are unbounded by design — the
 // linked-ring queues append a fresh ring/segment instead of refusing),
 // plus each backend's configuration bound.
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
 
 #include "queue_test_common.hpp"
+#include "wcq/mem.hpp"
 
 namespace {
 
@@ -28,10 +30,12 @@ std::optional<options> past_bound(std::string_view q) {
 }
 
 // Past the bound, construction throws std::invalid_argument instead of
-// overflowing a size or a shift; a small order still constructs.
+// overflowing a size or a shift, and frees whatever it had allocated;
+// a small order still constructs.
 template <concepts::Queue Q>
 void test_validation(const char* name) {
   if (const auto bad = past_bound(name)) {
+    const std::uint64_t live = mem::stats().live_bytes;
     bool threw = false;
     try {
       Q q(*bad);
@@ -39,6 +43,9 @@ void test_validation(const char* name) {
       threw = true;
     }
     WCQ_CHECK(threw, "%s: options past the bound must throw", name);
+    WCQ_CHECK(mem::stats().live_bytes == live,
+              "%s: throwing construction leaked %lld bytes", name,
+              (long long)(mem::stats().live_bytes - live));
   }
   Q q(options{}.max_threads(2).order(4));
   auto h = q.get_handle();

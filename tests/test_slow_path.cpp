@@ -149,6 +149,9 @@ void test_slow_mpmc(const char* name, unsigned producers,
 #if defined(WCQ_ALL_SLOW)
   WCQ_CHECK(st.slow_enqueues + st.slow_dequeues > 0,
             "%s: all-slow build never took the slow path", name);
+  WCQ_CHECK(st.fast_enqueues + st.fast_dequeues == 0,
+            "%s: all-slow build counted %llu fast ops", name,
+            (unsigned long long)(st.fast_enqueues + st.fast_dequeues));
 #endif
   std::printf("  ok slow_mpmc %ux%u    %s (%llu slow ops)\n", producers,
               consumers, name,
@@ -215,8 +218,13 @@ void test_no_premature_empty(const char* name) {
 // help_request never takes ownership: both threads step the shared
 // ctl/note state machine, so both engage the same request concurrently
 // (each observes it pending and enters help_slow), and the commit
-// still happens exactly once. Repeated under a start barrier so both
-// sides demonstrably engage many times over the run.
+// still happens exactly once. Repeated in lock-step rounds so both
+// sides demonstrably engage many times over the run: each helper
+// records the round it has taken and then polls for the request, and
+// the owner publishes only once both helpers have taken the round. A
+// helper that gets no CPU for a while therefore delays the round
+// instead of counting up through finished ones, and both helpers are
+// already polling when the request appears.
 template <bool Portable>
 void test_two_helpers_one_request(const char* name) {
   using Access = WcqTestAccess<Portable>;
@@ -230,37 +238,53 @@ void test_two_helpers_one_request(const char* name) {
   std::atomic<bool> run{true};
   std::atomic<std::uint64_t> engaged1{0};
   std::atomic<std::uint64_t> engaged2{0};
+  std::atomic<int> taken1{0};
+  std::atomic<int> taken2{0};
+  std::atomic<int> closed{0};  // rounds whose request has completed
 
-  auto helper_loop = [&](std::atomic<std::uint64_t>& engaged, int id) {
+  auto helper_loop = [&](std::atomic<std::uint64_t>& engaged,
+                         std::atomic<int>& taken) {
     int round = 0;
     while (run.load(std::memory_order_acquire)) {
-      // Wait for this round's request to be published.
-      if (round_gate.load(std::memory_order_acquire) <= round) continue;
-      ++round;
-      // Drive the owner's pending request; help() returns true iff it
-      // observed the request still in flight and stepped it.
-      if (Access::help(q, owner)) {
-        engaged.fetch_add(1, std::memory_order_relaxed);
+      // Wait for the owner to open the next round.
+      if (round_gate.load(std::memory_order_acquire) <= round) {
+        std::this_thread::yield();
+        continue;
       }
-      (void)id;
+      taken.store(++round, std::memory_order_release);
+      // Poll until this round's request is published; help() returns
+      // true iff it observed the request in flight and stepped it.
+      bool stepped = false;
+      while (!(stepped = Access::help(q, owner)) &&
+             closed.load(std::memory_order_acquire) < round) {
+      }
+      if (stepped) engaged.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  std::thread t1(helper_loop, std::ref(engaged1), 1);
-  std::thread t2(helper_loop, std::ref(engaged2), 2);
+  std::thread t1(helper_loop, std::ref(engaged1), std::ref(taken1));
+  std::thread t2(helper_loop, std::ref(engaged2), std::ref(taken2));
 
   auto seed = q.get_handle();
   for (int round = 0; round < kRounds; ++round) {
     const std::uint64_t want = 1000 + round;
     WCQ_CHECK(q.try_push(want, seed), "%s: seed push refused", name);
-    Access::publish_stalled_pop(q, owner);
     round_gate.fetch_add(1, std::memory_order_acq_rel);  // release helpers
-    // The owner stays stalled; only the two helpers can finish this.
     int spins = 0;
+    while (taken1.load(std::memory_order_acquire) <= round ||
+           taken2.load(std::memory_order_acquire) <= round) {
+      std::this_thread::yield();
+      WCQ_CHECK(++spins < 1'000'000, "%s: helpers never took round %d", name,
+                round);
+    }
+    Access::publish_stalled_pop(q, owner);
+    // The owner stays stalled; only the two helpers can finish this.
+    spins = 0;
     while (!Access::done_ok(q, owner)) {
       std::this_thread::yield();
       WCQ_CHECK(++spins < 1'000'000,
                 "%s: helpers never completed round %d", name, round);
     }
+    closed.store(round + 1, std::memory_order_release);
     std::uint64_t got = 0;
     WCQ_CHECK(Access::finish_pop(q, owner, &got),
               "%s: helped pop failed in round %d", name, round);
